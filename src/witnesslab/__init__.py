@@ -16,7 +16,6 @@ from .numth import (
     is_prime,
     lcm_range,
     L_of,
-    mod_pow,
     mult_order,
     two_adic_split,
     unity_root_count,

@@ -20,7 +20,7 @@ import sys
 from . import analysis, galois, product, witness
 from .analysis import AdversarialConfig, FixedEll, SmallestEll
 from .galois import NoConductor, PerfectPower
-from .numth import lcm_range
+from .numth import is_prime, lcm_range
 from .rng import CounterRng, default_seed
 
 CSV_HEADER = ["n", "composite", "F", "MR", "Gal", "D", "H", "k", "Str", "ell", "skip"]
@@ -62,17 +62,29 @@ def _record_object(rec: analysis.SweepRecord) -> dict:
 
 
 def _parse_ell_policy(text: str):
-    if text == "auto":
-        return SmallestEll()
     if text.startswith("fixed:"):
-        return FixedEll(int(text.split(":", 1)[1]))
+        ell = int(text.split(":", 1)[1])
+        if ell < 3 or not is_prime(ell):
+            raise argparse.ArgumentTypeError(f"fixed conductor must be an odd prime, got {ell}")
+        return FixedEll(ell)
     if text == "smallest":
         return SmallestEll()
     if text.startswith("smallest:"):
         return SmallestEll(int(text.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
-        f"expected auto, fixed:<ell> or smallest[:<max>], got {text!r}"
+        f"expected fixed:<ell> or smallest[:<max>], got {text!r}"
     )
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
 
 
 def _parse_modulus(text: str) -> int:
@@ -147,10 +159,12 @@ def cmd_count(args) -> int:
 
 def cmd_sweep(args) -> int:
     policy = args.ell
-    if isinstance(policy, FixedEll) and galois.conductor_failure(3, policy.ell) == "conductor-not-prime":
-        print(f"error: {policy.ell} is not a usable conductor", file=sys.stderr)
+    try:
+        handle = open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w", newline="") as handle:
+    with handle:
         if args.format == "csv":
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_HEADER)
@@ -253,30 +267,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run the combined Miller-Rabin + Galois test")
     p.add_argument("n", type=_odd_n)
-    p.add_argument("--rounds", type=int, default=2, help="Miller-Rabin rounds")
+    p.add_argument("--rounds", type=_int_at_least(0), default=2, help="Miller-Rabin rounds")
     p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or a prime")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("count", help="exact counts for one n as a CSV row")
     p.add_argument("n", type=_odd_n)
-    p.add_argument("--rounds", type=int, default=2)
-    p.add_argument("--ell", type=_parse_ell_policy, default="auto",
-                   help="auto, fixed:<ell> or smallest[:<max>]")
+    p.add_argument("--rounds", type=_int_at_least(0), default=2)
+    p.add_argument("--ell", type=_parse_ell_policy, default="smallest",
+                   help="fixed:<ell> or smallest[:<max>]")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sweep", help="counts for every odd n up to a bound")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=_int_at_least(0), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="fixed:3",
                    help="fixed:<ell> or smallest[:<max>]")
     p.add_argument("--out", required=True, help="row output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("constants", help="series constants with tail majorants")
-    p.add_argument("--d", type=int, default=2, help="extension degree")
+    p.add_argument("--d", type=_int_at_least(1), default=2, help="extension degree")
     p.add_argument("--bound", type=int, default=10**5, help="prime-power cutoff")
     p.set_defaults(func=cmd_constants)
 

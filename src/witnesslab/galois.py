@@ -4,8 +4,12 @@ The extension is realized as S = (Z/nZ)[X] / (1 + X + ... + X**(ell-1))
 for a prime conductor ell with n a primitive root mod ell, so S has
 degree d = ell - 1 over Z/nZ and the map sigma: X -> X**(n mod ell)
 generates a cyclic automorphism group of order d.  The test accepts n
-when a sampled invertible x satisfies sigma(x) = x**n; for prime n
-that is the Frobenius identity, for composite n it almost never holds.
+when a sampled unit x satisfies sigma(x) = x**n; for prime n that is
+the Frobenius identity, for composite n it almost never holds.  Units
+are decided in one place, by the ring norm: x is a unit of S exactly
+when the product of its d conjugates, a constant, is a unit mod n.
+count_Gal counts the accepted units in closed form and brute_Gal by
+enumeration.
 
 Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products are reduced with X**ell = 1 first and
@@ -88,7 +92,6 @@ def _is_small_prime(m: int) -> bool:
     return is_prime(m)
 
 
-@lru_cache(maxsize=65536)
 def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
     """Smallest prime ell <= ell_max with n a primitive root mod ell.
 
@@ -193,119 +196,60 @@ def sigma_apply(R: RingDescriptor, x, j: int = 1) -> tuple[int, ...]:
     return tuple((c - top) % R.n for c in acc[: R.ell - 1])
 
 
-@dataclass(frozen=True)
-class Invertibility:
-    """Outcome of inverting an element of S.
-
-    status is "invertible" (inverse set), "zero", or "zero-divisor"
-    (factor set: a nontrivial divisor of n revealed by a leading
-    coefficient that is not invertible mod n).
-    """
-
-    status: str
-    inverse: tuple[int, ...] | None = None
-    factor: int | None = None
-
-
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def invertibility(R: RingDescriptor, x) -> Invertibility:
-    """Extended Euclid of x against 1 + X + ... + X**(ell-1) over Z/nZ.
-
-    Every division step needs the divisor's leading coefficient to be a
-    unit mod n; when it is not, its gcd with n is a nontrivial factor
-    and the routine stops there with a zero-divisor report.  That exit
-    is deliberately conservative: a unit of S can still surface a
-    factor this way when an intermediate coefficient shares one with n,
-    which for a compositeness test is a win, not an error.  Use is_unit
-    for the exact membership question.  With the conductor invariants
-    in force the remainder sequence can only terminate in a constant,
-    so the routine is total.
-    """
-    n = R.n
-    r0 = [1] * R.ell
-    r1 = _poly_trim([c % n for c in x])
-    if not r1:
-        return Invertibility("zero")
-    # Bezout coefficients tracking r = s * x  (mod the modulus polynomial)
-    s0: list[int] = []
-    s1: list[int] = [1]
-    while r1:
-        lead = r1[-1]
-        g = math.gcd(lead, n)
-        if g > 1:
-            return Invertibility("zero-divisor", factor=g)
-        inv_lead = pow(lead, -1, n)
-        quotient = [0] * (len(r0) - len(r1) + 1)
-        rem = list(r0)
-        for shift in range(len(rem) - len(r1), -1, -1):
-            coef = rem[shift + len(r1) - 1] * inv_lead % n
-            if coef:
-                quotient[shift] = coef
-                for i, c in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - coef * c) % n
-        _poly_trim(rem)
-        new_s = _poly_sub(s0, _poly_mul(quotient, s1, n), n)
-        r0, r1 = _poly_trim(list(r1)), rem
-        s0, s1 = s1, new_s
-    if len(r0) != 1:
-        # Impossible once n is a primitive root mod ell: a common factor
-        # of x and the modulus would need degree divisible by every
-        # residue degree, whose lcm is already d.
-        raise ArithmeticError("nonconstant gcd despite conductor invariants")
-    g = math.gcd(r0[0], n)
-    if g > 1:
-        return Invertibility("zero-divisor", factor=g)
-    scale = pow(r0[0], -1, n)
-    inverse = R.element([c * scale % n for c in s0])
-    return Invertibility("invertible", inverse=inverse)
-
-
-def _poly_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % n
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % n
-    return _poly_trim(out)
-
-
 def ring_norm(R: RingDescriptor, x) -> int:
     """Product of all sigma-conjugates of x, as an element of Z/nZ.
 
-    The product is sigma-invariant, hence a constant; x is a unit of S
-    exactly when its norm is a unit of Z/nZ.
+    The product is sigma-invariant, hence a constant.  It is built by
+    doubling along the cyclic group: with y_k the product of the first
+    k conjugates, y_2k = y_k * sigma**k(y_k) and y_(k+1) = y_k *
+    sigma**k(x), so d conjugates cost floor(log2 d) + popcount(d) - 1
+    ring products (the Itoh-Tsujii addition chain).
     """
-    acc = tuple(x)
-    for j in range(1, R.d):
-        acc = ring_mul(R, acc, sigma_apply(R, x, j))
-    assert not any(acc[1:]), "ring norm must be a constant"
-    return acc[0]
+    x = tuple(x)
+    y, k = x, 1
+    for bit in bin(R.d)[3:]:
+        y = ring_mul(R, y, sigma_apply(R, y, k))
+        k *= 2
+        if bit == "1":
+            y = ring_mul(R, y, sigma_apply(R, x, k))
+            k += 1
+    assert not any(y[1:]), "ring norm must be a constant"
+    return y[0]
 
 
-def is_unit(R: RingDescriptor, x) -> bool:
-    """Exact invertibility of x in S, decided through the ring norm."""
-    return math.gcd(ring_norm(R, x), R.n) == 1
+@dataclass(frozen=True)
+class Invertibility:
+    """Whether an element of S is a unit.
+
+    status is "invertible", "zero", or "zero-divisor".  For a zero
+    divisor, factor is g = gcd(norm, n) when 1 < g < n, a proper
+    divisor of n, and None when g = n.
+    """
+
+    status: str
+    factor: int | None = None
+
+
+def invertibility(R: RingDescriptor, x) -> Invertibility:
+    """Decide whether x is a unit of S through its ring norm.
+
+    x is a unit exactly when its norm is a unit of Z/nZ: modulo each
+    prime p of n, S/pS is a product of fields permuted transitively by
+    sigma, so the norm vanishes mod p as soon as x vanishes in one of
+    them.
+    """
+    if not any(c % R.n for c in x):
+        return Invertibility("zero")
+    g = math.gcd(ring_norm(R, x), R.n)
+    if g == 1:
+        return Invertibility("invertible")
+    return Invertibility("zero-divisor", factor=g if g < R.n else None)
 
 
 @dataclass(frozen=True)
 class GaloisOutcome:
-    """Result of one Galois round: "pass", "fail", or "factor-found"."""
+    """Result of one Galois round: "pass", "fail" (a unit with
+    sigma(x) != x**n), "not-a-unit", or "factor-found"."""
 
     status: str
     factor: int | None = None
@@ -318,14 +262,17 @@ class GaloisOutcome:
 def galois_test(R: RingDescriptor, x) -> GaloisOutcome:
     """One round on a nonzero x: pass iff x is a unit and sigma(x) = x**n.
 
-    A zero divisor certifies n composite; when it also reveals an
-    integer factor the outcome carries it.
+    The pass set is exactly the set count_Gal counts.  A zero divisor
+    certifies n composite; when the gcd of its norm with n is a proper
+    divisor of n the outcome carries it as a factor.
     """
     x = tuple(x)
-    if all(c % R.n == 0 for c in x):
-        raise ValueError("x must be nonzero")
     inv = invertibility(R, x)
+    if inv.status == "zero":
+        raise ValueError("x must be nonzero")
     if inv.status == "zero-divisor":
+        if inv.factor is None:
+            return GaloisOutcome("not-a-unit")
         return GaloisOutcome("factor-found", factor=inv.factor)
     if sigma_apply(R, x) == ring_pow(R, x, R.n):
         return GaloisOutcome("pass")

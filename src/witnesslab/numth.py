@@ -44,19 +44,6 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(primes_up_to(_TRIAL_BOUND))
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply.
-
-    Delegates to the builtin three-argument pow, which implements
-    exactly that.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    if exponent < 0:
-        raise ValueError("negative exponent")
-    return pow(base, exponent, modulus)
-
-
 def two_adic_split(k: int) -> tuple[int, int]:
     """Write k = 2**e * m with m odd; return (e, m).
 
@@ -177,16 +164,6 @@ def carmichael_lambda(n: int) -> int:
     return math.lcm(*parts)
 
 
-def von_mangoldt_base(s: int) -> int | None:
-    """The prime p if s is a prime power p**j (j >= 1), else None."""
-    if s < 2:
-        return None
-    factors = factorize(s).factors
-    if len(factors) == 1:
-        return factors[0][0]
-    return None
-
-
 def mult_order(a: int, m: int) -> int:
     """Multiplicative order of a modulo m.
 
@@ -273,16 +250,3 @@ def is_perfect_power(n: int) -> tuple[int, int] | None:
         if b >= 2 and b**k == n:
             return b, k
     return None
-
-
-def divisor_count(n: int) -> int:
-    """tau(n), the number of positive divisors."""
-    result = 1
-    for _, e in factorize(n).factors:
-        result *= e + 1
-    return result
-
-
-def distinct_prime_count(n: int) -> int:
-    """omega(n), the number of distinct prime factors."""
-    return len(factorize(n).factors)

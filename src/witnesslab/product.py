@@ -24,7 +24,8 @@ class StrongerVerdict:
     """Outcome of one run of the combined test.
 
     evidence explains a composite verdict: ("mr-round", i) for a failed
-    Miller-Rabin round, ("galois-round", reason) for the ring round,
+    Miller-Rabin round, ("galois-round", reason) for the ring round
+    (reason "sigma-mismatch" or "not-a-unit"),
     ("factor", g) when a nontrivial factor of n surfaced.
     """
 
@@ -66,6 +67,8 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     outcome = galois.galois_test(R, x)
     if outcome.status == "factor-found":
         return StrongerVerdict(n, COMPOSITE, ("factor", outcome.factor))
+    if outcome.status == "not-a-unit":
+        return StrongerVerdict(n, COMPOSITE, ("galois-round", "not-a-unit"))
     if outcome.status == "fail":
         return StrongerVerdict(n, COMPOSITE, ("galois-round", "sigma-mismatch"))
     return StrongerVerdict(n, PROBABLY_PRIME)
@@ -81,7 +84,7 @@ def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
 def _draw_unit(R: RingDescriptor, gen) -> tuple[int, ...]:
     while True:
         x = _draw_nonzero(R, gen)
-        if galois.is_unit(R, x):
+        if galois.invertibility(R, x).status == "invertible":
             return x
 
 
@@ -116,11 +119,7 @@ def mc_density(
                 ok = False
                 break
         if ok:
-            # Membership in the bad-witness set is the defining identity
-            # itself; galois_test would also divert units that reveal a
-            # factor mid-inversion, biasing the estimate low.
-            x = _draw_unit(R, gen)
-            ok = galois.sigma_apply(R, x) == galois.ring_pow(R, x, R.n)
+            ok = galois.galois_test(R, _draw_unit(R, gen)).passed
         if ok:
             hits += 1
     density = hits / samples

@@ -9,6 +9,7 @@ from witnesslab.analysis import (
     NoQFound,
     SmallestEll,
     SweepAggregate,
+    _zeta,
     adversarial_generate,
     adversarial_pool,
     compare_bounds,
@@ -274,3 +275,17 @@ def test_compare_bounds_r1_has_no_zeta_reference():
     report = compare_bounds(agg, 2, 1)
     row = report.row("str-mean-upper")
     assert row.reference is None or math.isinf(row.reference) or row.note
+
+
+def test_zeta_matches_mpmath_exactly():
+    mpmath = pytest.importorskip("mpmath")
+    for r in range(2, 65):
+        assert _zeta(r) == float(mpmath.zeta(r)), r
+
+
+def test_zeta_known_values():
+    # runs without mpmath; pi**4 / 90 in floats is itself off by an ulp
+    assert _zeta(2) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    assert _zeta(4) == pytest.approx(math.pi**4 / 90, rel=1e-15)
+    with pytest.raises(ValueError):
+        _zeta(1)

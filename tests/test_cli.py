@@ -95,6 +95,29 @@ def test_count_rejects_bare_ell():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "35", "--ell", "fixed:4"),
+        ("count", "35", "--ell", "fixed:2"),
+        ("count", "35", "--ell", "auto"),
+        ("count", "35", "--rounds", "-1"),
+        ("test", "35", "--rounds", "-1"),
+        ("sweep", "--max", "11", "--ell", "fixed:4", "--out", "{tmp}/rows.csv"),
+        ("sweep", "--max", "11", "--rounds", "-1", "--out", "{tmp}/rows.csv"),
+        ("sweep", "--max", "11", "--workers", "0", "--out", "{tmp}/rows.csv"),
+        ("sweep", "--max", "11", "--out", "{tmp}/missing/rows.csv"),
+        ("constants", "--d", "0"),
+    ],
+)
+def test_bad_arguments_exit_2(tmp_path, args):
+    proc = run_cli(*(arg.format(tmp=tmp_path) for arg in args))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "rows.csv"
     proc = run_cli(

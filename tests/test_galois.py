@@ -4,6 +4,8 @@ import random
 import pytest
 
 from witnesslab.galois import (
+    GaloisOutcome,
+    Invertibility,
     InvalidConductor,
     NoConductor,
     PerfectPower,
@@ -17,7 +19,6 @@ from witnesslab.galois import (
     find_conductor,
     galois_test,
     invertibility,
-    is_unit,
     local_data,
     ring_add,
     ring_mul,
@@ -194,10 +195,8 @@ def test_sigma_has_order_d():
 
 def test_invertibility_examples():
     R = RingDescriptor(35, 3)
-    out = invertibility(R, R.omega())
-    assert out.status == "invertible"
-    assert out.inverse == (34, 34)
-    assert ring_mul(R, R.omega(), out.inverse) == R.one()
+    assert invertibility(R, R.omega()).status == "invertible"
+    assert invertibility(R, R.omega()).factor is None
 
     out = invertibility(R, R.element([5]))
     assert out.status == "zero-divisor"
@@ -207,7 +206,7 @@ def test_invertibility_examples():
 
 
 def test_invertibility_random_consistency():
-    """Inverses verify; reported factors really divide n."""
+    """Units have a unit norm; reported factors are proper divisors of n."""
     rng = random.Random(6)
     for n, ell in ((35, 3), (341, 3), (27, 5)):
         R = RingDescriptor(n, ell)
@@ -215,10 +214,19 @@ def test_invertibility_random_consistency():
             x = random_element(R, rng)
             out = invertibility(R, x)
             if out.status == "invertible":
-                assert ring_mul(R, x, out.inverse) == R.one()
-                assert is_unit(R, x)
+                assert math.gcd(ring_norm(R, x), n) == 1
+                assert out.factor is None
             elif out.status == "zero-divisor":
-                assert 1 < out.factor < n and n % out.factor == 0
+                assert out.factor is None or (1 < out.factor < n and n % out.factor == 0)
+
+
+def test_invertibility_reports_a_proper_factor_or_none():
+    # g = gcd(norm, n) = n leaves no proper factor to report: 3 in S for
+    # n = 27 has norm 3**4, and 5 + 15X for n = 35 vanishes mod 5 and in
+    # one of the two fields of S/7S
+    for n, ell, x in ((27, 5, (3,)), (35, 3, (5, 15))):
+        R = RingDescriptor(n, ell)
+        assert invertibility(R, R.element(x)) == Invertibility("zero-divisor", None)
 
 
 def test_invertibility_never_diverts_for_prime_n():
@@ -240,10 +248,27 @@ def test_ring_norm_is_multiplicative():
         assert ring_norm(R, ring_mul(R, a, b)) == (na * nb) % R.n
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_ring_norm_doubling_matches_linear_product(ell):
+    n = next(m for m in range(1001, 10**4, 2) if conductor_failure(m, ell) is None)
+    R = RingDescriptor(n, ell)
+    rng = random.Random(ell)
+    for _ in range(5):
+        x = random_element(R, rng)
+        product = x
+        for j in range(1, R.d):
+            product = ring_mul(R, product, sigma_apply(R, x, j))
+        assert product[1:] == (0,) * (R.d - 1)
+        assert ring_norm(R, x) == product[0]
+
+
 def test_unit_count_matches_enumeration():
     R = RingDescriptor(35, 3)
     found = sum(
-        1 for a in range(35) for b in range(35) if is_unit(R, (a, b))
+        1
+        for a in range(35)
+        for b in range(35)
+        if invertibility(R, (a, b)).status == "invertible"
     )
     assert found == unit_count(35, 3) == 864
 
@@ -270,6 +295,22 @@ def test_galois_test_examples():
     assert out.status == "factor-found" and out.factor == 5
     with pytest.raises(ValueError):
         galois_test(R, R.zero())
+    R = RingDescriptor(27, 5)
+    assert galois_test(R, R.element([3])) == GaloisOutcome("not-a-unit")
+
+
+@pytest.mark.parametrize(
+    "n", [n for n in range(3, 101, 2) if conductor_failure(n, 3) is None]
+)
+def test_galois_test_pass_set_is_what_count_Gal_counts(n):
+    R = RingDescriptor(n, 3)
+    passed = sum(
+        galois_test(R, (a, b)).passed
+        for a in range(n)
+        for b in range(n)
+        if (a, b) != (0, 0)
+    )
+    assert passed == count_Gal(n, 3) == brute_Gal(n, 3)
 
 
 def test_galois_test_passes_units_for_prime_n():

@@ -7,20 +7,16 @@ from witnesslab.numth import (
     BudgetExceeded,
     NotCoprime,
     carmichael_lambda,
-    distinct_prime_count,
-    divisor_count,
     euler_phi,
     factorize,
     is_perfect_power,
     is_prime,
     L_of,
     lcm_range,
-    mod_pow,
     mult_order,
     primes_up_to,
     two_adic_split,
     unity_root_count,
-    von_mangoldt_base,
 )
 
 
@@ -40,22 +36,6 @@ def test_is_prime_large_known():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
     assert is_prime(10**18 + 9)
-
-
-def test_mod_pow_agrees_with_builtin():
-    rng = random.Random(0)
-    for _ in range(200):
-        b = rng.randrange(0, 10**6)
-        e = rng.randrange(0, 10**6)
-        m = rng.randrange(2, 10**6)
-        assert mod_pow(b, e, m) == pow(b, e, m)
-
-
-def test_mod_pow_rejects_bad_input():
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 7)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
 
 
 @pytest.mark.parametrize(
@@ -121,17 +101,6 @@ def test_carmichael_lambda_is_the_unit_group_exponent():
         assert all(pow(a, lam, n) == 1 for a in units)
         for q in {p for p, _ in factorize(lam).factors}:
             assert any(pow(a, lam // q, n) != 1 for a in units), (n, q)
-
-
-def test_von_mangoldt_base():
-    assert von_mangoldt_base(2) == 2
-    assert von_mangoldt_base(343) == 7
-    assert von_mangoldt_base(12) is None
-    assert von_mangoldt_base(1) is None
-    bases = [von_mangoldt_base(s) for s in range(2, 32)]
-    assert [s for s, b in zip(range(2, 32), bases) if b] == [
-        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
-    ]
 
 
 def test_mult_order():
@@ -217,12 +186,3 @@ def test_is_perfect_power(n, expected):
 def test_is_perfect_power_prefers_smallest_exponent():
     got = is_perfect_power(3**6)
     assert got == (27, 2)
-
-
-def test_divisor_counts():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == 6
-    assert divisor_count(561) == 8
-    assert distinct_prime_count(561) == 3
-    assert distinct_prime_count(1) == 0
-    assert distinct_prime_count(2**10) == 1
