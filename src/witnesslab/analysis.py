@@ -28,7 +28,6 @@ from .galois import (
 from .numth import (
     _unity_roots_prime_power,
     factorize,
-    is_perfect_power,
     is_prime,
     lcm_range,
     primes_up_to,
@@ -187,16 +186,15 @@ class SweepAggregate:
 
 
 def examine(n: int, r: int, policy) -> SweepRecord:
-    """Build the sweep record for one odd n under a conductor policy."""
+    """Build the sweep record for one odd n, factored once for every count."""
     fac = factorize(n)
     composite = fac.factors[0][1] > 1 or len(fac.factors) > 1
-    f_count = witness.count_F(n)
-    mr_count = witness.count_MR(n)
+    f_count = witness.count_F(fac)
+    mr_count = witness.count_MR(fac)
 
     skip = None
     ell = None
-    power = is_perfect_power(n)
-    if power is not None and power[1] % 2 == 0:
+    if all(e % 2 == 0 for _, e in fac.factors):  # n is a square
         skip = "perfect-power"
     elif isinstance(policy, FixedEll):
         skip = conductor_failure(n, policy.ell)
@@ -213,16 +211,16 @@ def examine(n: int, r: int, policy) -> SweepRecord:
         return SweepRecord(
             n=n, composite=composite, F=f_count, MR=mr_count, skipped_reason=skip
         )
-    gal = count_Gal(n, ell)
+    gal = count_Gal(fac, ell)
     return SweepRecord(
         n=n,
         composite=composite,
         F=f_count,
         MR=mr_count,
         Gal=gal,
-        D=count_D(n, ell),
-        H=count_H(n, ell - 1),
-        k_cofactor=cofactor_k(n, ell),
+        D=count_D(fac, ell),
+        H=count_H(fac, ell - 1),
+        k_cofactor=cofactor_k(fac, ell),
         Str_r=mr_count**r * gal,
         ell=ell,
     )
@@ -396,6 +394,8 @@ def adversarial_generate(
     pool = adversarial_pool(cfg)
     if subset is not None:
         requested = tuple(int(p) for p in subset)
+        if not requested:
+            raise ValueError("subset must name at least one pool prime")
         chosen = tuple(sorted(set(requested)))
         if len(chosen) != len(requested):
             raise ValueError("subset primes must be distinct")
@@ -403,6 +403,8 @@ def adversarial_generate(
             if p not in pool:
                 raise ValueError(f"{p} is not in the pool {pool}")
     else:
+        if cfg.k < 1:
+            raise ValueError(f"k must be >= 1, got {cfg.k}")
         if len(pool) < cfg.k:
             raise ValueError(f"pool {pool} smaller than k={cfg.k}")
         gen = CounterRng.coerce(rng).stream(0)

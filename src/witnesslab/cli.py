@@ -23,29 +23,8 @@ from .galois import NoConductor, PerfectPower
 from .numth import is_prime, lcm_range
 from .rng import CounterRng, default_seed
 
-CSV_HEADER = ["n", "composite", "F", "MR", "Gal", "D", "H", "k", "Str", "ell", "skip"]
-
-
-def _record_cells(rec: analysis.SweepRecord) -> list:
-    def opt(value):
-        return "" if value is None else value
-
-    return [
-        rec.n,
-        1 if rec.composite else 0,
-        rec.F,
-        rec.MR,
-        opt(rec.Gal),
-        opt(rec.D),
-        opt(rec.H),
-        opt(rec.k_cofactor),
-        opt(rec.Str_r),
-        opt(rec.ell),
-        opt(rec.skipped_reason),
-    ]
-
-
 def _record_object(rec: analysis.SweepRecord) -> dict:
+    """The record's columns, in output order; JSON rows write this dict."""
     return {
         "n": rec.n,
         "composite": rec.composite,
@@ -61,6 +40,15 @@ def _record_object(rec: analysis.SweepRecord) -> dict:
     }
 
 
+CSV_HEADER = list(_record_object(analysis.SweepRecord(n=0, composite=False, F=0, MR=0)))
+
+
+def _record_cells(rec: analysis.SweepRecord) -> list:
+    """The CSV row: booleans become 1/0 and None an empty cell."""
+    values = _record_object(rec).values()
+    return ["" if v is None else int(v) if isinstance(v, bool) else v for v in values]
+
+
 def _parse_ell_policy(text: str):
     if text.startswith("fixed:"):
         ell = int(text.split(":", 1)[1])
@@ -70,7 +58,7 @@ def _parse_ell_policy(text: str):
     if text == "smallest":
         return SmallestEll()
     if text.startswith("smallest:"):
-        return SmallestEll(int(text.split(":", 1)[1]))
+        return SmallestEll(_int_at_least(3)(text.split(":", 1)[1]))
     raise argparse.ArgumentTypeError(
         f"expected fixed:<ell> or smallest[:<max>], got {text!r}"
     )
@@ -90,7 +78,7 @@ def _int_at_least(low: int):
 def _parse_modulus(text: str) -> int:
     if text.startswith("lcm:"):
         return lcm_range(int(text.split(":", 1)[1]))
-    return int(text)
+    return _int_at_least(1)(text)
 
 
 def _odd_n(text: str) -> int:
@@ -280,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sweep", help="counts for every odd n up to a bound")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_int_at_least(3), required=True)
     p.add_argument("--rounds", type=_int_at_least(0), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="fixed:3",
                    help="fixed:<ell> or smallest[:<max>]")
@@ -291,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="series constants with tail majorants")
     p.add_argument("--d", type=_int_at_least(1), default=2, help="extension degree")
-    p.add_argument("--bound", type=int, default=10**5, help="prime-power cutoff")
+    p.add_argument("--bound", type=_int_at_least(2), default=10**5, help="prime-power cutoff")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("adversary", help="build n with a guaranteed witness floor")
     p.add_argument("--M", type=_parse_modulus, default=lcm_range(12), help="modulus, or lcm:<B>")
     p.add_argument("--pool-bound", type=int, default=200)
     p.add_argument("--cutoff", type=int, default=5)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_int_at_least(1), default=3)
     p.add_argument("--q-limit", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_adversary)

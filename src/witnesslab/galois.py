@@ -9,7 +9,7 @@ the Frobenius identity, for composite n it almost never holds.  Units
 are decided in one place, by the ring norm: x is a unit of S exactly
 when the product of its d conjugates, a constant, is a unit mod n.
 count_Gal counts the accepted units in closed form and brute_Gal by
-enumeration.
+enumeration.  Closed forms take n or its Factorization.
 
 Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products are reduced with X**ell = 1 first and
@@ -24,12 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numth import (
-    BudgetExceeded,
-    factorize,
-    is_perfect_power,
-    mult_order,
-)
+from .numth import BudgetExceeded, Factorization, _factored, mult_order
 
 _BRUTE_LIMIT = 10**6
 
@@ -95,20 +90,18 @@ def _is_small_prime(m: int) -> bool:
 def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
     """Smallest prime ell <= ell_max with n a primitive root mod ell.
 
-    Even perfect powers are rejected up front via PerfectPower; odd
-    powers such as cubes can still be primitive roots and are searched
-    normally.  Raises NoConductor when the bound is exhausted.
+    Squares, the even perfect powers, are rejected up front via
+    PerfectPower(isqrt(n), 2); odd powers such as cubes can still be
+    primitive roots.  Raises NoConductor when the bound is exhausted.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    power = is_perfect_power(n)
-    if power is not None and power[1] % 2 == 0:
-        raise PerfectPower(*power)
-    ell = 3
-    while ell <= ell_max:
+    root = math.isqrt(n)
+    if root * root == n:
+        raise PerfectPower(root, 2)
+    for ell in range(3, ell_max + 1, 2):
         if _is_small_prime(ell) and conductor_failure(n, ell) is None:
             return ell
-        ell += 2
     raise NoConductor(f"no conductor for {n} below {ell_max}")
 
 
@@ -332,58 +325,66 @@ def local_data(n: int, ell: int, p: int) -> PrimeLocalData:
     return PrimeLocalData(p=p, f=f, m=m, e=e, z=z, t=t)
 
 
-def count_Gal(n: int, ell: int) -> int:
+def count_Gal(n: int | Factorization, ell: int) -> int:
     """Exact bad-witness count for the Galois round: the number of
     invertible x in S with sigma(x) = x**n, as a product of local gcds."""
+    fac = _factored(n)
+    n = fac.n
     RingDescriptor(n, ell)
     result = 1
-    for p in factorize(n).primes():
+    for p in fac.primes():
         loc = local_data(n, ell, p)
         result *= math.gcd(n**loc.m - p**loc.t, p**loc.f - 1)
     return result
 
 
-def count_D(n: int, ell: int) -> int:
+def count_D(n: int | Factorization, ell: int) -> int:
     """Product over p | n of gcd(p**f - 1, n**d - 1)."""
+    fac = _factored(n)
+    n = fac.n
     RingDescriptor(n, ell)
     d = ell - 1
     result = 1
-    for p in factorize(n).primes():
+    for p in fac.primes():
         f = _order_mod_ell(p % ell, ell)
         result *= math.gcd(p**f - 1, n**d - 1)
     return result
 
 
-def count_H(n: int, d: int) -> int:
+def count_H(n: int | Factorization, d: int) -> int:
     """Product over p | n of gcd(p**d - 1, n**d - 1); needs no conductor."""
+    fac = _factored(n)
+    n = fac.n
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     result = 1
-    for p in factorize(n).primes():
+    for p in fac.primes():
         result *= math.gcd(p**d - 1, n**d - 1)
     return result
 
 
-def cofactor_k(n: int, ell: int) -> int:
+def cofactor_k(n: int | Factorization, ell: int) -> int:
     """The exact ratio (prod over p of p**f - 1) / count_D(n, ell)."""
-    RingDescriptor(n, ell)
+    fac = _factored(n)
+    RingDescriptor(fac.n, ell)
     numerator = 1
-    for p in factorize(n).primes():
+    for p in fac.primes():
         f = _order_mod_ell(p % ell, ell)
         numerator *= p**f - 1
-    denominator = count_D(n, ell)
+    denominator = count_D(fac, ell)
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise NonIntegral(f"{numerator} not divisible by {denominator}")
     return quotient
 
 
-def unit_count(n: int, ell: int) -> int:
+def unit_count(n: int | Factorization, ell: int) -> int:
     """Order of the unit group of S: prod p**((v-1)d) * (p**f - 1)**m."""
-    RingDescriptor(n, ell)
+    fac = _factored(n)
+    RingDescriptor(fac.n, ell)
     d = ell - 1
     result = 1
-    for p, v in factorize(n).factors:
+    for p, v in fac.factors:
         f = _order_mod_ell(p % ell, ell)
         m = d // f
         result *= p ** ((v - 1) * d) * (p**f - 1) ** m

@@ -23,8 +23,9 @@ class BudgetExceeded(RuntimeError):
 
 _TRIAL_BOUND = 10_000
 
-# Deterministic Miller-Rabin base set, valid for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin base set, the first 13 primes: valid below
+# psi_13 = 3317044064679887385961981 (the first 12 fail at psi_12 ~ 3.2e23).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -56,7 +57,7 @@ def two_adic_split(k: int) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed base set)."""
+    """Deterministic Miller-Rabin for n < psi_13 ~ 3.3e24 (fixed base set)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -98,11 +99,16 @@ class Factorization:
     """Prime factorization of a positive integer.
 
     factors lists (prime, exponent) pairs with strictly increasing
-    primes; the product reconstructs n exactly.
+    primes; the product reconstructs n exactly (checked on construction,
+    since the closed-form counts trust a given factorization).
     """
 
     n: int
     factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.reconstruct() != self.n:
+            raise ValueError(f"{self.factors} does not multiply to {self.n}")
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -138,9 +144,12 @@ def factorize(n: int) -> Factorization:
             continue
         d = _pollard_rho(m)
         stack.extend((d, m // d))
-    factors = tuple(sorted(counts.items()))
-    assert reduce(lambda acc, pe: acc * pe[0] ** pe[1], factors, 1) == n
-    return Factorization(n, factors)
+    return Factorization(n, tuple(sorted(counts.items())))
+
+
+def _factored(n: int | Factorization) -> Factorization:
+    """n's factorization: a Factorization is returned unchanged, an int is factored."""
+    return n if isinstance(n, Factorization) else factorize(n)
 
 
 def euler_phi(n: int) -> int:
@@ -230,22 +239,22 @@ def L_of(x: float) -> float:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n."""
+    """Floor of the k-th root of n >= 0: integer Newton from 2**ceil(bits/k)."""
     if n < 2:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def is_perfect_power(n: int) -> tuple[int, int] | None:
     """(b, k) with b**k == n and k >= 2 minimal, or None."""
     if n < 4:
         return None
-    for k in range(2, n.bit_length() + 1):
+    for k in primes_up_to(n.bit_length()):  # the minimal k is always prime
         b = _iroot(n, k)
         if b >= 2 and b**k == n:
             return b, k

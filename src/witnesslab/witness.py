@@ -3,7 +3,8 @@
 A "bad witness" for composite n is a base the test fails to reject.
 Both counts come in two flavors: a closed-form product over the prime
 factors of n, and a direct enumeration oracle used to cross-check it.
-The two paths are kept independent on purpose.
+The two paths are kept independent on purpose.  Closed forms take n or
+its Factorization.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numth import BudgetExceeded, NotCoprime, factorize, two_adic_split
+from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, two_adic_split
 
 _BRUTE_LIMIT = 10**6
 
@@ -70,11 +71,13 @@ class MrParams:
     s: int
 
 
-def mr_params(n: int) -> MrParams:
+def mr_params(n: int | Factorization) -> MrParams:
+    fac = _factored(n)
+    n = fac.n
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     k, m = two_adic_split(n - 1)
-    primes = factorize(n).primes()
+    primes = fac.primes()
     v = min(two_adic_split(p - 1)[0] for p in primes)
     s = 1
     for p in primes:
@@ -82,17 +85,19 @@ def mr_params(n: int) -> MrParams:
     return MrParams(n=n, k=k, m=m, v=v, w=len(primes), s=s)
 
 
-def count_F(n: int) -> int:
+def count_F(n: int | Factorization) -> int:
     """Exact number of Fermat-passing bases: prod gcd(p-1, n-1)."""
+    fac = _factored(n)
+    n = fac.n
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     result = 1
-    for p in factorize(n).primes():
+    for p in fac.primes():
         result *= math.gcd(p - 1, n - 1)
     return result
 
 
-def count_MR(n: int) -> int:
+def count_MR(n: int | Factorization) -> int:
     """Exact number of Miller-Rabin-passing bases for odd n >= 3.
 
     (1 + (2**(v*w) - 1) / (2**w - 1)) * s, in exact integer arithmetic:
@@ -152,14 +157,13 @@ def brute_MR(n: int) -> int:
     return int(np.count_nonzero(good))
 
 
-def is_carmichael(n: int) -> bool:
+def is_carmichael(n: int | Factorization) -> bool:
     """Korselt's criterion: squarefree composite with p-1 | n-1 for all p."""
-    if n < 3 or n % 2 == 0:
+    if isinstance(n, int) and (n < 3 or n % 2 == 0):
         return False
-    fac = factorize(n).factors
-    if len(fac) < 2:
-        return False
-    return all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fac)
+    fac = _factored(n)  # an even n fails Korselt: an odd p | n has even p-1
+    n = fac.n
+    return len(fac.factors) > 1 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fac.factors)
 
 
 def multi_round_mr(n: int, r: int, rng) -> bool:

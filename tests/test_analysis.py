@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+from witnesslab import galois, numth, witness
 from witnesslab.analysis import (
     AdversarialConfig,
     BoundsReport,
@@ -33,6 +35,41 @@ def test_examine_full_record():
     assert (rec.k_cofactor, rec.Str_r, rec.ell) == (1, 144, 3)
     assert rec.skipped_reason is None
     assert rec.covered
+
+
+@pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()])
+def test_examine_factors_n_once(monkeypatch, policy):
+    original = numth.factorize
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name == "witnesslab" or name.startswith("witnesslab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    for n in (35, 1105, 3 * 5 * 7 * 11 * 13, 9, 27, 97):
+        calls.clear()
+        examine(n, 2, policy)
+        assert calls.count(n) == 1, (n, calls)
+
+
+def test_counts_take_n_or_its_factorization():
+    for n in range(3, 3001, 2):
+        fac = numth.factorize(n)
+        assert witness.count_F(fac) == witness.count_F(n)
+        assert witness.count_MR(fac) == witness.count_MR(n)
+        assert witness.mr_params(fac) == witness.mr_params(n)
+        assert witness.is_carmichael(fac) == witness.is_carmichael(n)
+        for ell in (3, 5, 7, 11):
+            assert galois.count_H(fac, ell - 1) == galois.count_H(n, ell - 1)
+            if galois.conductor_failure(n, ell) is not None:
+                continue
+            for count in (galois.count_Gal, galois.count_D, galois.cofactor_k, galois.unit_count):
+                assert count(fac, ell) == count(n, ell), (count.__name__, n, ell)
 
 
 def test_examine_skip_reasons():
@@ -226,6 +263,14 @@ def test_adversarial_rejects_bad_subsets():
         adversarial_generate(cfg, subset=(7, 7, 11))  # repeat
     with pytest.raises(ValueError):
         adversarial_generate(AdversarialConfig(M=60, prime_bound=12))
+
+
+def test_adversarial_needs_at_least_one_prime():
+    # with no pool prime s = 1 and n = q would be a prime
+    with pytest.raises(ValueError):
+        adversarial_generate(AdversarialConfig(M=60, k=0), rng=0)
+    with pytest.raises(ValueError):
+        adversarial_generate(AdversarialConfig(M=60), subset=())
 
 
 def test_adversarial_no_q_when_s_shares_factor_with_m():

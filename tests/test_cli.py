@@ -107,7 +107,13 @@ def test_count_rejects_bare_ell():
         ("sweep", "--max", "11", "--rounds", "-1", "--out", "{tmp}/rows.csv"),
         ("sweep", "--max", "11", "--workers", "0", "--out", "{tmp}/rows.csv"),
         ("sweep", "--max", "11", "--out", "{tmp}/missing/rows.csv"),
+        ("sweep", "--max", "2", "--out", "{tmp}/rows.csv"),
+        ("sweep", "--max", "-5", "--out", "{tmp}/rows.csv"),
+        ("count", "35", "--ell", "smallest:0"),
         ("constants", "--d", "0"),
+        ("constants", "--bound", "1"),
+        ("adversary", "--M", "0"),
+        ("adversary", "--k", "0"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, args):

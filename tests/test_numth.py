@@ -5,6 +5,7 @@ import pytest
 
 from witnesslab.numth import (
     BudgetExceeded,
+    Factorization,
     NotCoprime,
     carmichael_lambda,
     euler_phi,
@@ -73,6 +74,25 @@ def test_factorize_semiprime():
     p, q = 999_979, 999_983
     assert is_prime(p) and is_prime(q)
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to every prime base <= 37
+
+
+def test_is_prime_rejects_psi_12():
+    assert not is_prime(PSI_12)
+
+
+def test_factorize_psi_12():
+    assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_factorization_must_reconstruct_n():
+    assert Factorization(35, ((5, 1), (7, 1))).primes() == (5, 7)
+    with pytest.raises(ValueError):
+        Factorization(35, ((5, 1),))
+    with pytest.raises(ValueError):
+        Factorization(0, ())
 
 
 def test_euler_phi():
@@ -173,6 +193,9 @@ def test_L_of_is_subpolynomial():
         (64, (8, 2)),
         (125, (5, 3)),
         (2**10, (32, 2)),
+        (2**300, (2**150, 2)),
+        (3**201, (3**67, 3)),
+        (2**521 - 1, None),
         (6, None),
         (63, None),
         (2, None),
