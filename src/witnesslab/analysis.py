@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import witness
@@ -162,27 +162,17 @@ class SweepAggregate:
     def merge(self, other: "SweepAggregate") -> "SweepAggregate":
         if self.rounds != other.rounds:
             raise ValueError("cannot merge aggregates with different round counts")
-        out = SweepAggregate(
-            rounds=self.rounds,
-            x=max(self.x, other.x),
-            count_visited=self.count_visited + other.count_visited,
-            count_composite=self.count_composite + other.count_composite,
-            count_covered=self.count_covered + other.count_covered,
-            count_covered_composite=self.count_covered_composite
-            + other.count_covered_composite,
-            count_skipped=self.count_skipped + other.count_skipped,
-            sum_F=self.sum_F + other.sum_F,
-            sum_MR_r=self.sum_MR_r + other.sum_MR_r,
-            sum_Gal=self.sum_Gal + other.sum_Gal,
-            sum_Str=self.sum_Str + other.sum_Str,
-            sum_log_F=self.sum_log_F.copy(),
-            sum_log_MR_r=self.sum_log_MR_r.copy(),
-            sum_log_H=self.sum_log_H.copy(),
-        )
-        out.sum_log_F.merge(other.sum_log_F)
-        out.sum_log_MR_r.merge(other.sum_log_MR_r)
-        out.sum_log_H.merge(other.sum_log_H)
-        return out
+        merged = {}
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if f.name in ("rounds", "x"):  # rounds are equal, checked above
+                merged[f.name] = max(mine, theirs)
+            elif isinstance(mine, _CompensatedSum):
+                merged[f.name] = mine.copy()
+                merged[f.name].merge(theirs)
+            else:
+                merged[f.name] = mine + theirs
+        return SweepAggregate(**merged)
 
 
 def examine(n: int, r: int, policy) -> SweepRecord:
@@ -291,16 +281,12 @@ def sweep_records(x_max: int, r: int = 2, policy=FixedEll(3)) -> list[SweepRecor
 
 
 def _prime_power_terms(bound: int):
-    """Yield (p, j, s=p**j, lambda(s)) for all prime powers s <= bound."""
+    """Yield (p, j, s=p**j) for all prime powers s <= bound."""
     for p in primes_up_to(bound):
         s = p
         j = 1
         while s <= bound:
-            if p == 2:
-                lam = 1 if j == 1 else 2 if j == 2 else 1 << (j - 2)
-            else:
-                lam = s // p * (p - 1)
-            yield p, j, s, lam
+            yield p, j, s
             s *= p
             j += 1
 
@@ -314,15 +300,11 @@ def _series_tail(bound: int) -> float:
 def eval_c1(bound: int = 10**5) -> tuple[float, float]:
     """Partial sum of Lambda(s)/(s*phi(s)) over prime powers s <= bound.
 
-    Returns (value, tail_majorant): the true infinite sum lies within
+    This is eval_c3 at d = 1, where every f(s, 1) is 1.  Returns
+    (value, tail_majorant): the true infinite sum lies within
     tail_majorant above the returned value.
     """
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    terms = [
-        math.log(p) / (s * (s - s // p)) for p, _j, s, _lam in _prime_power_terms(bound)
-    ]
-    return math.fsum(terms), _series_tail(bound)
+    return eval_c3(1, bound)[0], _series_tail(bound)
 
 
 def eval_c3(d: int, bound: int = 10**5) -> tuple[float, float]:
@@ -330,18 +312,17 @@ def eval_c3(d: int, bound: int = 10**5) -> tuple[float, float]:
 
     f(s, d1) counts the units mod s with y**d1 = 1; for an odd prime
     power it equals d1, and doubles for 2**a with a >= 3 and d1 even.
-    With d = 1 every f is 1 and the sum reduces to the one in eval_c1,
-    exactly.  The tail majorant scales the base tail by the largest
-    possible f**2, namely (2d)**2.
+    Since y**lambda(s) = 1 for every unit, f(s, d1) = f(s, d), which is
+    what is summed.  The tail majorant scales the base tail by the
+    largest possible f**2, namely (2d)**2.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if bound < 2:
         raise ValueError("bound must be >= 2")
     terms = []
-    for p, j, s, lam in _prime_power_terms(bound):
-        d1 = math.gcd(lam, d)
-        f = _unity_roots_prime_power(p, j, d1)
+    for p, j, s in _prime_power_terms(bound):
+        f = _unity_roots_prime_power(p, j, d)
         terms.append(f * f * math.log(p) / (s * (s - s // p)))
     return math.fsum(terms), (2 * d) ** 2 * _series_tail(bound)
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numth import BudgetExceeded, Factorization, _factored, mult_order
+from .numth import BudgetExceeded, Factorization, _factored, is_prime, mult_order
 
 _BRUTE_LIMIT = 10**6
 
@@ -64,7 +64,7 @@ def conductor_failure(n: int, ell: int) -> str | None:
 
 @lru_cache(maxsize=None)
 def _residue_failure(residue: int, ell: int) -> str | None:
-    if ell < 3 or not _is_small_prime(ell):
+    if ell < 3 or not is_prime(ell):
         return "conductor-not-prime"
     if residue == 0:
         return "not-coprime"
@@ -80,13 +80,6 @@ def _order_mod_ell(residue: int, ell: int) -> int:
     return mult_order(residue, ell)
 
 
-@lru_cache(maxsize=None)
-def _is_small_prime(m: int) -> bool:
-    from .numth import is_prime
-
-    return is_prime(m)
-
-
 def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
     """Smallest prime ell <= ell_max with n a primitive root mod ell.
 
@@ -100,7 +93,7 @@ def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
     if root * root == n:
         raise PerfectPower(root, 2)
     for ell in range(3, ell_max + 1, 2):
-        if _is_small_prime(ell) and conductor_failure(n, ell) is None:
+        if conductor_failure(n, ell) is None:
             return ell
     raise NoConductor(f"no conductor for {n} below {ell_max}")
 
@@ -278,51 +271,33 @@ class PrimeLocalData:
 
     f: residue degree, the order of p mod ell (so S/pS is a product of
        m = d/f copies of GF(p**f))
-    e: discrete log of p to base n mod ell
-    z: e/m reduced mod f, coprime to f; t: inverse of z mod f.
-    Both are 0 when f = 1.  The p-power Frobenius acts as sigma**(z*m).
+    z: the j in [0, f) with (n**m)**j = p mod ell, coprime to f;
+    t: inverse of z mod f.  Both are 0 when f = 1.  The p-power
+    Frobenius acts as sigma**(z*m).
     """
 
     p: int
     f: int
     m: int
-    e: int
     z: int
     t: int
 
 
-def _bsgs_dlog(base: int, target: int, ell: int, order: int) -> int:
-    """Discrete log in (Z/ell)^*: smallest e with base**e = target."""
-    step = math.isqrt(order) + 1
-    table = {}
-    cur = 1
-    for j in range(step):
-        table.setdefault(cur, j)
-        cur = cur * base % ell
-    giant = pow(base, -step, ell)
-    gamma = target % ell
-    for i in range(step + 1):
-        j = table.get(gamma)
-        if j is not None:
-            return (i * step + j) % order
-        gamma = gamma * giant % ell
-    raise ArithmeticError(f"dlog of {target} base {base} mod {ell} not found")
-
-
 def local_data(n: int, ell: int, p: int) -> PrimeLocalData:
-    """Local invariants of prime p for the ring with conductor ell."""
-    d = ell - 1
+    """Local invariants of prime p for the ring with conductor ell.
+
+    n**m generates the order-f subgroup of (Z/ell)^* that holds p, so z
+    is found by walking its f powers.  Raises ArithmeticError when p is
+    not among them, which happens only when n is not a primitive root.
+    """
     f = _order_mod_ell(p % ell, ell)
-    m = d // f
-    e = _bsgs_dlog(n % ell, p % ell, ell, d)
-    if f == 1:
-        return PrimeLocalData(p=p, f=f, m=m, e=e, z=0, t=0)
-    assert e % m == 0, "dlog of p must be a multiple of d/f"
-    z = (e // m) % f
-    assert math.gcd(z, f) == 1
-    t = pow(z, -1, f)
-    assert pow(n, z * m, ell) == p % ell
-    return PrimeLocalData(p=p, f=f, m=m, e=e, z=z, t=t)
+    m = (ell - 1) // f
+    g, power = pow(n, m, ell), 1
+    for z in range(f):
+        if power == p % ell:
+            return PrimeLocalData(p=p, f=f, m=m, z=z, t=pow(z, -1, f) if f > 1 else 0)
+        power = power * g % ell
+    raise ArithmeticError(f"{p} is not a power of {n}**{m} mod {ell}")
 
 
 def count_Gal(n: int | Factorization, ell: int) -> int:

@@ -23,9 +23,13 @@ class BudgetExceeded(RuntimeError):
 
 _TRIAL_BOUND = 10_000
 
-# Deterministic Miller-Rabin base set, the first 13 primes: valid below
-# psi_13 = 3317044064679887385961981 (the first 12 fail at psi_12 ~ 3.2e23).
+# Miller-Rabin to the first 13 prime bases is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
+# of them (the first 12 fail at psi_12 ~ 3.2e23).  From psi_13 on, a
+# strong Lucas test follows; with base 2 that is BPSW, which has no
+# known counterexample.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -57,7 +61,7 @@ def two_adic_split(k: int) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < psi_13 ~ 3.3e24 (fixed base set)."""
+    """Deterministic Miller-Rabin below psi_13 ~ 3.3e24, BPSW from there on."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -74,7 +78,61 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters.
+
+    For odd n > 41: D is the first of 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1 and Q = (1 - D)/4.  With n + 1 = 2**s * m, m odd, n passes when
+    U_m = 0 or V_(m * 2**r) = 0 mod n for some 0 <= r < s.
+    """
+    root = math.isqrt(n)
+    if root * root == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # gcd(|D|, n) > 1 with |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s, m = two_adic_split(n + 1)
+
+    def halve(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # Left-to-right over the bits of m: U_2k = U_k V_k, V_2k = V_k**2 - 2Q**k,
+    # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(m)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = halve(U + V), halve(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from . import galois, witness
 from .galois import RingDescriptor, find_conductor
-from .rng import CounterRng
+from .numth import Factorization, _factored
+from .rng import CounterRng, draw_int
 
 PROBABLY_PRIME = "probably-prime"
 COMPOSITE = "composite"
@@ -56,13 +57,9 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     if ell is None:
         ell = find_conductor(n)
     R = RingDescriptor(n, ell)
-    for i in range(r):
-        a = int(streams.stream(i).integers(1, n))
-        g = math.gcd(a, n)
-        if g > 1:
-            return StrongerVerdict(n, COMPOSITE, ("factor", g))
-        if not witness.mr_witness(n, a):
-            return StrongerVerdict(n, COMPOSITE, ("mr-round", i))
+    evidence = witness._mr_rounds(n, r, streams)
+    if evidence is not None:
+        return StrongerVerdict(n, COMPOSITE, evidence)
     x = _draw_nonzero(R, streams.stream(r))
     outcome = galois.galois_test(R, x)
     if outcome.status == "factor-found":
@@ -76,7 +73,7 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
 
 def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
     while True:
-        x = tuple(int(c) for c in gen.integers(0, R.n, size=R.d))
+        x = tuple(draw_int(gen, 0, R.n, R.d))
         if any(x):
             return x
 
@@ -88,11 +85,12 @@ def _draw_unit(R: RingDescriptor, gen) -> tuple[int, ...]:
             return x
 
 
-def count_Str(n: int, r: int, ell: int) -> int:
-    """Exact bad-witness count of the combined test."""
+def count_Str(n: int | Factorization, r: int, ell: int) -> int:
+    """Exact bad-witness count of the combined test; n is factored once."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    return witness.count_MR(n) ** r * galois.count_Gal(n, ell)
+    fac = _factored(n)
+    return witness.count_MR(fac) ** r * galois.count_Gal(fac, ell)
 
 
 def mc_density(
@@ -129,6 +127,6 @@ def mc_density(
 
 def _draw_unit_base(n: int, gen) -> int:
     while True:
-        a = int(gen.integers(1, n))
+        a = draw_int(gen, 1, n)
         if math.gcd(a, n) == 1:
             return a

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, two_adic_split
+from .rng import CounterRng, draw_int
 
 _BRUTE_LIMIT = 10**6
 
@@ -173,17 +174,21 @@ def multi_round_mr(n: int, r: int, rng) -> bool:
     proves n composite, so such a draw counts as a failed round.
     Accepts a seed or a CounterRng; each round uses its own stream.
     """
-    from .rng import CounterRng
-
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     if r < 0:
         raise ValueError("r must be >= 0")
-    streams = CounterRng.coerce(rng)
+    return _mr_rounds(n, r, CounterRng.coerce(rng)) is None
+
+
+def _mr_rounds(n: int, r: int, streams: CounterRng) -> tuple | None:
+    """Round i tests a base in [1, n) from stream i: ("factor", g) when it
+    shares g > 1 with n, ("mr-round", i) when it fails, None when all pass."""
     for i in range(r):
-        a = int(streams.stream(i).integers(1, n))
-        if math.gcd(a, n) != 1:
-            return False
+        a = draw_int(streams.stream(i), 1, n)
+        g = math.gcd(a, n)
+        if g > 1:
+            return ("factor", g)
         if not mr_witness(n, a):
-            return False
-    return True
+            return ("mr-round", i)
+    return None

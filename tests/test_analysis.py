@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import sys
 
 import pytest
 
-from witnesslab import galois, numth, witness
+from witnesslab import galois, numth, product, witness
 from witnesslab.analysis import (
     AdversarialConfig,
     BoundsReport,
@@ -21,7 +22,14 @@ from witnesslab.analysis import (
     sweep,
     sweep_records,
 )
-from witnesslab.numth import carmichael_lambda, euler_phi, is_prime, lcm_range, unity_root_count
+from witnesslab.numth import (
+    carmichael_lambda,
+    euler_phi,
+    is_prime,
+    lcm_range,
+    primes_up_to,
+    unity_root_count,
+)
 from witnesslab.witness import count_F
 
 
@@ -70,6 +78,7 @@ def test_counts_take_n_or_its_factorization():
                 continue
             for count in (galois.count_Gal, galois.count_D, galois.cofactor_k, galois.unit_count):
                 assert count(fac, ell) == count(n, ell), (count.__name__, n, ell)
+            assert product.count_Str(fac, 2, ell) == product.count_Str(n, 2, ell)
 
 
 def test_examine_skip_reasons():
@@ -115,22 +124,28 @@ def test_sweep_matches_manual_aggregate():
     assert agg.sum_log_F.value() == manual.sum_log_F.value()
 
 
+def aggregate_fields(agg, kind):
+    """(name, value) for each field of agg holding a value of type kind."""
+    pairs = [(f.name, getattr(agg, f.name)) for f in dataclasses.fields(agg)]
+    return [(name, value) for name, value in pairs if isinstance(value, kind)]
+
+
 def test_merge_is_exact_for_integers():
     whole = build_agg(3, 2999)
     parts = build_agg(3, 999).merge(build_agg(1001, 1999)).merge(build_agg(2001, 2999))
-    for field in ("sum_F", "sum_MR_r", "sum_Gal", "sum_Str",
-                  "count_visited", "count_composite", "count_covered",
-                  "count_covered_composite", "count_skipped"):
-        assert getattr(parts, field) == getattr(whole, field), field
+    ints = aggregate_fields(whole, int)
+    assert len(ints) == 11
+    for name, value in ints:
+        assert getattr(parts, name) == value, name
 
 
 def test_merge_log_sums_are_stable():
     whole = build_agg(3, 2999)
     parts = build_agg(3, 999).merge(build_agg(1001, 1999)).merge(build_agg(2001, 2999))
-    for field in ("sum_log_F", "sum_log_MR_r", "sum_log_H"):
-        a = getattr(parts, field).value()
-        b = getattr(whole, field).value()
-        assert a == pytest.approx(b, rel=1e-10)
+    sums = aggregate_fields(whole, type(whole.sum_log_F))
+    assert len(sums) == 3
+    for name, value in sums:
+        assert getattr(parts, name).value() == pytest.approx(value.value(), rel=1e-10), name
 
 
 def test_merge_rejects_mixed_rounds():
@@ -186,12 +201,21 @@ def test_eval_c3_reduces_to_c1():
 
 
 def test_eval_c3_term_by_term():
-    """Incremental differences isolate single prime-power terms."""
-    # s = 8, d = 2: gcd(lambda(8), 2) = 2 roots, squared, times log2/(8*phi(8))
-    d1 = unity_root_count(8, math.gcd(carmichael_lambda(8), 2))
-    inc = eval_c3(2, 8)[0] - eval_c3(2, 7)[0]
-    assert inc == pytest.approx(d1**2 * math.log(2) / (8 * euler_phi(8)), rel=1e-12)
-    # s = 3, d = 2
+    """Every prime power s <= 1000 adds f(s, gcd(lambda(s), d))**2 * log p/(s*phi(s)).
+
+    fsum rounds exactly, so the partial sum at each bound s equals the
+    fsum of the expected terms up to s only if every term is the same.
+    """
+    powers = sorted(
+        (p**j, p) for p in primes_up_to(1000) for j in range(1, 10) if p**j <= 1000
+    )
+    for d in range(1, 13):
+        terms = []
+        for s, p in powers:
+            f = unity_root_count(s, math.gcd(carmichael_lambda(s), d))
+            terms.append(f * f * math.log(p) / (s * euler_phi(s)))
+            assert eval_c3(d, s)[0] == math.fsum(terms), (d, s)
+    # s = 3, d = 2 by hand: 2 square roots of 1 mod 3
     inc = eval_c3(2, 3)[0] - eval_c3(2, 2)[0]
     assert inc == pytest.approx(4 * math.log(3) / 6, rel=1e-12)
 

@@ -54,6 +54,13 @@ def test_test_prime():
     assert "verdict=probably-prime" in proc.stdout
 
 
+@pytest.mark.parametrize("e", [89, 127, 521])
+def test_test_mersenne_prime_above_2_63(e):
+    proc = run_cli("test", str(2**e - 1), "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict=probably-prime" in proc.stdout
+
+
 def test_test_env_seed_matches_flag():
     via_env = run_cli("test", "341", env_extra={"WITNESSLAB_SEED": "5"})
     via_flag = run_cli("test", "341", "--seed", "5")

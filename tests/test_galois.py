@@ -351,17 +351,24 @@ def test_local_data_values(n, ell, p, f, m, z, t):
 
 
 def test_local_data_invariants():
-    for n in range(5, 2000, 2):
-        if is_prime(n) or conductor_failure(n, 3) is not None:
-            continue
-        for p in {q for q, _ in factorize(n).factors}:
-            loc = local_data(n, 3, p)
-            assert loc.f * loc.m == 2
-            assert pow(n, loc.z * loc.m, 3) == p % 3
-            if loc.f > 1:
-                assert (loc.z * loc.t) % loc.f == 1
-            else:
-                assert loc.z == loc.t == 0
+    for ell in (3, 5, 7, 11, 13):
+        for n in range(5, 2000, 2):
+            if is_prime(n) or conductor_failure(n, ell) is not None:
+                continue
+            for p in factorize(n).primes():
+                loc = local_data(n, ell, p)
+                assert loc.f * loc.m == ell - 1
+                assert pow(n, loc.z * loc.m, ell) == p % ell
+                assert math.gcd(loc.z, loc.f) == 1
+                assert (loc.z * loc.t - 1) % loc.f == 0
+                if loc.f == 1:
+                    assert loc.z == loc.t == 0
+
+
+def test_local_data_rejects_p_outside_the_subgroup():
+    # 9 = 2 mod 7 has order 3, so 3 (order 6) is no power of it
+    with pytest.raises(ArithmeticError):
+        local_data(9, 7, 3)
 
 
 @pytest.mark.parametrize(

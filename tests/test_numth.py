@@ -87,6 +87,38 @@ def test_factorize_psi_12():
     assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
 
 
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to every prime base <= 41
+
+
+def test_is_prime_rejects_psi_13():
+    assert not is_prime(PSI_13)
+
+
+def test_factorize_psi_13():
+    assert factorize(PSI_13).factors == ((1287836182261, 1), (2575672364521, 1))
+
+
+@pytest.mark.parametrize("e", [89, 127, 521, 607])
+def test_is_prime_mersenne_primes(e):
+    assert is_prime(2**e - 1)
+    assert not is_prime(2**e + 1)
+
+
+def test_is_prime_matches_sympy_on_large_n():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240601)
+    for _ in range(400):
+        bits = rng.randrange(80, 301)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    for _ in range(40):
+        bits = rng.randrange(40, 151)
+        p = sympy.nextprime(rng.getrandbits(bits))
+        q = sympy.nextprime(rng.getrandbits(bits))
+        assert not is_prime(p * q), (p, q)
+        assert is_prime(p) and is_prime(q)
+
+
 def test_factorization_must_reconstruct_n():
     assert Factorization(35, ((5, 1), (7, 1))).primes() == (5, 7)
     with pytest.raises(ValueError):

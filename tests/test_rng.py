@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from witnesslab.rng import ENV_SEED, CounterRng, default_seed
+from witnesslab.rng import ENV_SEED, CounterRng, default_seed, draw_int
 
 
 def test_default_seed_env(monkeypatch):
@@ -39,3 +39,30 @@ def test_coerce():
 def test_stream_rejects_negative_index():
     with pytest.raises(ValueError):
         CounterRng(0).stream(-1)
+
+
+def test_draw_int_below_2_63_is_generator_integers():
+    pick = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(pick.integers(2, 2**63)) >> int(pick.integers(0, 62))
+        n = max(n, 2)
+        seed, index = int(pick.integers(0, 2**32)), int(pick.integers(0, 8))
+        expected = int(CounterRng(seed).stream(index).integers(1, n))
+        assert draw_int(CounterRng(seed).stream(index), 1, n) == expected, (n, seed)
+    expected = CounterRng(3).stream(1).integers(0, 10**12, size=6).tolist()
+    assert draw_int(CounterRng(3).stream(1), 0, 10**12, 6) == expected
+
+
+@pytest.mark.parametrize("low,high", [(1, 2**63 + 1), (0, 2**64), (5, 2**89 - 1), (1, 2**607 - 1)])
+def test_big_draws_fall_in_range(low, high):
+    gen = CounterRng(7).stream(0)
+    draws = [draw_int(gen, low, high) for _ in range(300)] + draw_int(gen, low, high, 50)
+    assert all(type(a) is int and low <= a < high for a in draws)
+    assert len(set(draws)) == len(draws)
+    # the top half of the range is hit about half of the time
+    assert 100 < sum(a >= low + (high - low) // 2 for a in draws) < 250
+
+
+def test_big_draws_are_reproducible():
+    a = draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
+    assert a == draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
