@@ -12,8 +12,17 @@ count_Gal counts the accepted units in closed form and brute_Gal by
 enumeration.  Closed forms take n or its Factorization.
 
 Elements are coefficient tuples of length d over the power basis
-1, X, ..., X**(ell-2).  Products are reduced with X**ell = 1 first and
-the relation 1 + X + ... + X**(ell-1) = 0 folds the top coefficient.
+1, X, ..., X**(ell-2).  Products use Kronecker substitution: each
+operand, reduced mod n, is packed into one integer with coefficient i
+in the w-bit slot i, w = 2*bitlen(n) + bitlen(ell), and one integer
+product gives the polynomial product.  Working mod X**ell - 1, a
+coefficient sums at most d products, each below n**2, so it stays
+below d * n**2 < 2**w and no slot carries into the next.  X**ell = 1
+is applied to the packed product P as one fold modulo 2**(w*ell) - 1,
+(P & (2**(w*ell) - 1)) + (P >> (w*ell)), which adds slot k + ell onto
+slot k.  The ell slots are then unpacked, the relation 1 + X + ... +
+X**(ell-1) = 0 subtracts the top slot from the others, and each
+coefficient is reduced mod n.
 """
 
 from __future__ import annotations
@@ -143,19 +152,32 @@ def ring_sub(R: RingDescriptor, a, b) -> tuple[int, ...]:
     return tuple((x - y) % R.n for x, y in zip(a, b))
 
 
+def _pack(a, n: int, w: int) -> int:
+    """The integer holding a's coefficients, reduced mod n, in w-bit slots."""
+    packed = 0
+    for c in reversed(a):
+        packed = packed << w | c % n
+    return packed
+
+
 def ring_mul(R: RingDescriptor, a, b) -> tuple[int, ...]:
-    """Product in S: convolution with X**ell = 1, then fold the top term."""
+    """Product in S by Kronecker substitution (see the module docstring).
+
+    Coefficients outside [0, n) are accepted; the result is canonical.
+    """
     n, ell = R.n, R.ell
-    acc = [0] * ell
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                k = i + j
-                if k >= ell:
-                    k -= ell
-                acc[k] += ai * bj
-    top = acc[ell - 1]
-    return tuple((c - top) % n for c in acc[: ell - 1])
+    w = 2 * n.bit_length() + ell.bit_length()
+    packed = _pack(a, n, w)
+    P = packed * packed if a is b else packed * _pack(b, n, w)
+    span = w * ell
+    P = (P & ((1 << span) - 1)) + (P >> span)
+    top = P >> (span - w)
+    mask = (1 << w) - 1
+    coeffs = []
+    for _ in range(ell - 1):
+        coeffs.append(((P & mask) - top) % n)
+        P >>= w
+    return tuple(coeffs)
 
 
 def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:

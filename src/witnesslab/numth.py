@@ -135,20 +135,42 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+_RHO_BATCH = 128
+
+
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
+    """A nontrivial factor of composite n (Brent's cycle variant).
+
+    y iterates y -> y**2 + c.  For r = 1, 2, 4, ..., x saves y, y skips
+    r steps, then takes r more, each compared with x: the |x - y| are
+    multiplied mod n in batches of _RHO_BATCH under one gcd.  A batch
+    whose gcd is n is replayed one step at a time from its start to find
+    the first nontrivial gcd.
+    """
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                start = (start * start + c) % n
+                g = math.gcd(abs(x - start), n)
+        if g != n:
+            return g
     raise ArithmeticError(f"rho failed to split {n}")
 
 

@@ -119,6 +119,27 @@ def test_is_prime_matches_sympy_on_large_n():
         assert is_prime(p) and is_prime(q)
 
 
+def test_factorize_matches_sympy():
+    """Seeded 40-100-bit semiprimes and three-prime products.
+
+    The smallest prime stays at or below 32 bits, so Pollard rho needs
+    about 2**16 steps per split and the test stays fast.
+    """
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for _ in range(40):
+        bits = rng.randrange(40, 101)
+        small = rng.randrange(14, min(33, bits - 13))
+        p = sympy.nextprime(rng.getrandbits(small))
+        q = sympy.nextprime(rng.getrandbits(bits - small))
+        assert dict(factorize(p * q).factors) == sympy.factorint(p * q), (p, q)
+    for _ in range(40):
+        n = 1
+        for bits in (rng.randrange(14, 33) for _ in range(3)):
+            n *= sympy.nextprime(rng.getrandbits(bits))
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
 def test_factorization_must_reconstruct_n():
     assert Factorization(35, ((5, 1), (7, 1))).primes() == (5, 7)
     with pytest.raises(ValueError):
@@ -174,6 +195,19 @@ def test_mult_order_divides_lambda():
         k = mult_order(a, m)
         assert pow(a, k, m) == 1
         assert carmichael_lambda(m) % k == 0
+
+
+def test_mult_order_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 300:
+        m = rng.getrandbits(rng.randrange(2, 49)) | 2
+        a = rng.randrange(1, m)
+        if math.gcd(a, m) != 1:
+            continue
+        assert mult_order(a, m) == sympy.n_order(a, m), (a, m)
+        checked += 1
 
 
 def test_unity_root_count_examples():
