@@ -26,12 +26,10 @@ from .witness import (
     brute_MR,
     count_F,
     count_MR,
-    count_MR_rounds,
     fermat_witness,
     is_carmichael,
     mr_params,
     mr_witness,
-    multi_round_mr,
 )
 from .galois import (
     GaloisOutcome,
@@ -51,10 +49,8 @@ from .galois import (
     galois_test,
     invertibility,
     local_data,
-    ring_add,
     ring_mul,
     ring_pow,
-    ring_sub,
     sigma_apply,
     unit_count,
 )
@@ -75,7 +71,6 @@ from .analysis import (
     eval_c3,
     examine,
     sweep,
-    sweep_records,
 )
 from .rng import CounterRng
 

@@ -17,11 +17,9 @@ from fractions import Fraction
 from . import witness
 from .galois import (
     DEFAULT_ELL_MAX,
+    _conductor_counts,
     conductor_failure,
-    count_D,
-    count_Gal,
     count_H,
-    cofactor_k,
     find_conductor,
     NoConductor,
 )
@@ -201,16 +199,16 @@ def examine(n: int, r: int, policy) -> SweepRecord:
         return SweepRecord(
             n=n, composite=composite, F=f_count, MR=mr_count, skipped_reason=skip
         )
-    gal = count_Gal(fac, ell)
+    gal, relaxed, k = _conductor_counts(fac, ell)  # ell was checked above
     return SweepRecord(
         n=n,
         composite=composite,
         F=f_count,
         MR=mr_count,
         Gal=gal,
-        D=count_D(fac, ell),
+        D=relaxed,
         H=count_H(fac, ell - 1),
-        k_cofactor=cofactor_k(fac, ell),
+        k_cofactor=k,
         Str_r=mr_count**r * gal,
         ell=ell,
     )
@@ -271,13 +269,6 @@ def sweep(
             pool.close()
             pool.join()
     return total
-
-
-def sweep_records(x_max: int, r: int = 2, policy=FixedEll(3)) -> list[SweepRecord]:
-    """Convenience wrapper collecting all records in memory."""
-    records: list[SweepRecord] = []
-    sweep(x_max, r, policy, record_sink=records.append)
-    return records
 
 
 def _prime_power_terms(bound: int):

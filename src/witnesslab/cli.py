@@ -49,12 +49,16 @@ def _record_cells(rec: analysis.SweepRecord) -> list:
     return ["" if v is None else int(v) if isinstance(v, bool) else v for v in values]
 
 
+def _odd_prime(text: str) -> int:
+    ell = int(text) if text.isdecimal() else 0
+    if ell < 3 or not is_prime(ell):
+        raise argparse.ArgumentTypeError(f"conductor must be an odd prime, got {text!r}")
+    return ell
+
+
 def _parse_ell_policy(text: str):
     if text.startswith("fixed:"):
-        ell = int(text.split(":", 1)[1])
-        if ell < 3 or not is_prime(ell):
-            raise argparse.ArgumentTypeError(f"fixed conductor must be an odd prime, got {ell}")
-        return FixedEll(ell)
+        return FixedEll(_odd_prime(text.split(":", 1)[1]))
     if text == "smallest":
         return SmallestEll()
     if text.startswith("smallest:"):
@@ -88,13 +92,8 @@ def _odd_n(text: str) -> int:
     return n
 
 
-def _conductor_arg(text: str):
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected auto or an integer, got {text!r}")
+def _conductor_arg(text: str) -> int | None:
+    return None if text == "auto" else _odd_prime(text)
 
 
 def _emit(**fields) -> None:
@@ -256,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the combined Miller-Rabin + Galois test")
     p.add_argument("n", type=_odd_n)
     p.add_argument("--rounds", type=_int_at_least(0), default=2, help="Miller-Rabin rounds")
-    p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or a prime")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or an odd prime")
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("count", help="exact counts for one n as a CSV row")
@@ -288,12 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=5)
     p.add_argument("--k", type=_int_at_least(1), default=3)
     p.add_argument("--q-limit", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("oracle-check", help="closed forms against enumeration")
     p.add_argument("--suite", choices=("f", "mr", "gal"), required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_int_at_least(3), required=True)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

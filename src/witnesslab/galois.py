@@ -9,7 +9,9 @@ the Frobenius identity, for composite n it almost never holds.  Units
 are decided in one place, by the ring norm: x is a unit of S exactly
 when the product of its d conjugates, a constant, is a unit mod n.
 count_Gal counts the accepted units in closed form and brute_Gal by
-enumeration.  Closed forms take n or its Factorization.
+enumeration.  Closed forms take n or its Factorization.  count_Gal,
+count_D and cofactor_k are the three fields of one pass over the
+primes of n, which a sweep runs once per (n, ell).
 
 Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products use Kronecker substitution: each
@@ -144,14 +146,6 @@ class RingDescriptor:
         return self.element([0, 1])
 
 
-def ring_add(R: RingDescriptor, a, b) -> tuple[int, ...]:
-    return tuple((x + y) % R.n for x, y in zip(a, b))
-
-
-def ring_sub(R: RingDescriptor, a, b) -> tuple[int, ...]:
-    return tuple((x - y) % R.n for x, y in zip(a, b))
-
-
 def _pack(a, n: int, w: int) -> int:
     """The integer holding a's coefficients, reduced mod n, in w-bit slots."""
     packed = 0
@@ -181,16 +175,16 @@ def ring_mul(R: RingDescriptor, a, b) -> tuple[int, ...]:
 
 
 def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:
-    """a**e in S by square-and-multiply (e >= 0)."""
+    """a**e in S by left-to-right square-and-multiply (e >= 0): for e >= 1,
+    bitlen(e) - 1 squarings and popcount(e) - 1 products by a."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = R.one()
-    acc = tuple(a)
-    while e:
-        if e & 1:
-            result = ring_mul(R, result, acc)
-        acc = ring_mul(R, acc, acc)
-        e >>= 1
+    a = R.element(a)
+    result = a if e else R.one()
+    for bit in bin(e)[3:]:
+        result = ring_mul(R, result, result)
+        if bit == "1":
+            result = ring_mul(R, result, a)
     return result
 
 
@@ -322,30 +316,40 @@ def local_data(n: int, ell: int, p: int) -> PrimeLocalData:
     raise ArithmeticError(f"{p} is not a power of {n}**{m} mod {ell}")
 
 
+def _conductor_counts(fac: Factorization, ell: int) -> tuple[int, int, int]:
+    """(count_Gal, count_D, cofactor_k) for n = fac.n, in one pass over its primes.
+
+    The caller must already have checked that ell is a valid conductor
+    for n (RingDescriptor(n, ell), or conductor_failure(n, ell) is None).
+    """
+    n = fac.n
+    n_d = n ** (ell - 1) - 1
+    gal = relaxed = numerator = 1
+    for p, _ in fac.factors:
+        loc = local_data(n, ell, p)
+        residue_units = p**loc.f - 1
+        gal *= math.gcd(n**loc.m - p**loc.t, residue_units)
+        relaxed *= math.gcd(residue_units, n_d)
+        numerator *= residue_units
+    k, remainder = divmod(numerator, relaxed)
+    if remainder:
+        raise NonIntegral(f"{numerator} not divisible by {relaxed}")
+    return gal, relaxed, k
+
+
 def count_Gal(n: int | Factorization, ell: int) -> int:
     """Exact bad-witness count for the Galois round: the number of
     invertible x in S with sigma(x) = x**n, as a product of local gcds."""
     fac = _factored(n)
-    n = fac.n
-    RingDescriptor(n, ell)
-    result = 1
-    for p in fac.primes():
-        loc = local_data(n, ell, p)
-        result *= math.gcd(n**loc.m - p**loc.t, p**loc.f - 1)
-    return result
+    RingDescriptor(fac.n, ell)
+    return _conductor_counts(fac, ell)[0]
 
 
 def count_D(n: int | Factorization, ell: int) -> int:
     """Product over p | n of gcd(p**f - 1, n**d - 1)."""
     fac = _factored(n)
-    n = fac.n
-    RingDescriptor(n, ell)
-    d = ell - 1
-    result = 1
-    for p in fac.primes():
-        f = _order_mod_ell(p % ell, ell)
-        result *= math.gcd(p**f - 1, n**d - 1)
-    return result
+    RingDescriptor(fac.n, ell)
+    return _conductor_counts(fac, ell)[1]
 
 
 def count_H(n: int | Factorization, d: int) -> int:
@@ -364,15 +368,7 @@ def cofactor_k(n: int | Factorization, ell: int) -> int:
     """The exact ratio (prod over p of p**f - 1) / count_D(n, ell)."""
     fac = _factored(n)
     RingDescriptor(fac.n, ell)
-    numerator = 1
-    for p in fac.primes():
-        f = _order_mod_ell(p % ell, ell)
-        numerator *= p**f - 1
-    denominator = count_D(fac, ell)
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise NonIntegral(f"{numerator} not divisible by {denominator}")
-    return quotient
+    return _conductor_counts(fac, ell)[2]
 
 
 def unit_count(n: int | Factorization, ell: int) -> int:

@@ -109,13 +109,6 @@ def count_MR(n: int | Factorization) -> int:
     return (1 + geometric) * par.s
 
 
-def count_MR_rounds(n: int, r: int) -> int:
-    """Bad-witness count for r independent Miller-Rabin rounds."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return count_MR(n) ** r
-
-
 def _vec_powmod(base: np.ndarray, exponent: int, n: int) -> np.ndarray:
     """Elementwise base**exponent mod n on int64 arrays (n <= 10**6)."""
     result = np.ones_like(base)
@@ -165,20 +158,6 @@ def is_carmichael(n: int | Factorization) -> bool:
     fac = _factored(n)  # an even n fails Korselt: an odd p | n has even p-1
     n = fac.n
     return len(fac.factors) > 1 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fac.factors)
-
-
-def multi_round_mr(n: int, r: int, rng) -> bool:
-    """Run r Miller-Rabin rounds with bases drawn by the rng contract.
-
-    Bases are uniform on [1, n); a base sharing a factor with n already
-    proves n composite, so such a draw counts as a failed round.
-    Accepts a seed or a CounterRng; each round uses its own stream.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return _mr_rounds(n, r, CounterRng.coerce(rng)) is None
 
 
 def _mr_rounds(n: int, r: int, streams: CounterRng) -> tuple | None:

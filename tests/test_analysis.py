@@ -20,7 +20,6 @@ from witnesslab.analysis import (
     eval_c3,
     examine,
     sweep,
-    sweep_records,
 )
 from witnesslab.numth import (
     carmichael_lambda,
@@ -45,6 +44,15 @@ def test_examine_full_record():
     assert rec.covered
 
 
+def rebind_everywhere(monkeypatch, original, replacement):
+    """Replace original at every witnesslab module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "witnesslab" or name.startswith("witnesslab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()])
 def test_examine_factors_n_once(monkeypatch, policy):
     original = numth.factorize
@@ -54,15 +62,55 @@ def test_examine_factors_n_once(monkeypatch, policy):
         calls.append(m)
         return original(m)
 
-    for name, module in list(sys.modules.items()):
-        if name == "witnesslab" or name.startswith("witnesslab."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    rebind_everywhere(monkeypatch, original, counting)
     for n in (35, 1105, 3 * 5 * 7 * 11 * 13, 9, 27, 97):
         calls.clear()
         examine(n, 2, policy)
         assert calls.count(n) == 1, (n, calls)
+
+
+@pytest.mark.parametrize("policy", [FixedEll(3), FixedEll(5), SmallestEll()])
+def test_examine_matches_the_public_counts(policy):
+    for n in range(3, 3001, 2):
+        rec = examine(n, 2, policy)
+        if not rec.covered:
+            continue
+        ell = rec.ell
+        expected = (
+            galois.count_Gal(n, ell),
+            galois.count_D(n, ell),
+            galois.count_H(n, ell - 1),
+            galois.cofactor_k(n, ell),
+        )
+        assert (rec.Gal, rec.D, rec.H, rec.k_cofactor) == expected, (n, ell)
+
+
+@pytest.mark.parametrize(
+    "policy,ns",
+    [(FixedEll(3), (35, 65, 101, 125, 6545)), (SmallestEll(), (7, 35, 1105, 6545, 3**5 * 7))],
+)
+def test_examine_checks_each_conductor_once(monkeypatch, policy, ns):
+    """A covered n builds no RingDescriptor, walks each prime once, and computes D once."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for fn in (galois.local_data, galois._conductor_counts, galois.count_Gal,
+               galois.count_D, galois.cofactor_k):
+        rebind_everywhere(monkeypatch, fn, counting(fn.__name__, fn))
+    check = galois.RingDescriptor.__post_init__
+    monkeypatch.setattr(galois.RingDescriptor, "__post_init__", counting("RingDescriptor", check))
+    for n in ns:
+        calls.clear()
+        rec = examine(n, 2, policy)
+        assert rec.covered, n
+        primes = len(numth.factorize(n).factors)
+        assert sorted(calls) == ["_conductor_counts"] + ["local_data"] * primes, (n, calls)
 
 
 def test_counts_take_n_or_its_factorization():
@@ -171,7 +219,8 @@ def test_sweep_record_sink_order():
 
 
 def test_sweep_records_roundtrip():
-    recs = sweep_records(99, 2, FixedEll(3))
+    recs = []
+    sweep(99, 2, FixedEll(3), record_sink=recs.append)
     assert [r.n for r in recs] == list(range(3, 100, 2))
     assert recs[0].skipped_reason == "not-coprime"
 

@@ -121,6 +121,11 @@ def test_count_rejects_bare_ell():
         ("constants", "--bound", "1"),
         ("adversary", "--M", "0"),
         ("adversary", "--k", "0"),
+        ("adversary", "--seed", "-1"),
+        ("test", "35", "--ell", "4"),
+        ("test", "35", "--ell", "-3"),
+        ("test", "35", "--seed", "-1"),
+        ("oracle-check", "--suite", "f", "--max", "-5"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, args):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from witnesslab import galois
 from witnesslab.galois import (
     GaloisOutcome,
     Invertibility,
@@ -20,11 +21,9 @@ from witnesslab.galois import (
     galois_test,
     invertibility,
     local_data,
-    ring_add,
     ring_mul,
     ring_norm,
     ring_pow,
-    ring_sub,
     sigma_apply,
     unit_count,
 )
@@ -34,6 +33,10 @@ from witnesslab.witness import count_F
 
 def random_element(R, rng):
     return tuple(rng.randrange(R.n) for _ in range(R.d))
+
+
+def add(R, a, b):
+    return tuple((x + y) % R.n for x, y in zip(a, b))
 
 
 # -- conductor selection ----------------------------------------------------
@@ -113,7 +116,7 @@ def test_cyclotomic_relation():
         R = RingDescriptor(n, ell)
         total = R.zero()
         for j in range(ell):
-            total = ring_add(R, total, ring_pow(R, R.omega(), j))
+            total = add(R, total, ring_pow(R, R.omega(), j))
         assert total == R.zero()
 
 
@@ -130,12 +133,10 @@ def test_ring_axioms_on_random_elements():
             a, b, c = (random_element(R, rng) for _ in range(3))
             assert ring_mul(R, a, b) == ring_mul(R, b, a)
             assert ring_mul(R, a, ring_mul(R, b, c)) == ring_mul(R, ring_mul(R, a, b), c)
-            lhs = ring_mul(R, a, ring_add(R, b, c))
-            rhs = ring_add(R, ring_mul(R, a, b), ring_mul(R, a, c))
+            lhs = ring_mul(R, a, add(R, b, c))
+            rhs = add(R, ring_mul(R, a, b), ring_mul(R, a, c))
             assert lhs == rhs
             assert ring_mul(R, a, R.one()) == a
-            assert ring_add(R, a, R.zero()) == a
-            assert ring_sub(R, a, a) == R.zero()
 
 
 def test_ring_pow_matches_repeated_mul():
@@ -149,6 +150,24 @@ def test_ring_pow_matches_repeated_mul():
             acc = ring_mul(R, acc, a)
     with pytest.raises(ValueError):
         ring_pow(R, R.one(), -1)
+
+
+def test_ring_pow_makes_no_wasted_products(monkeypatch):
+    """e >= 1 costs bitlen(e) - 1 squarings and popcount(e) - 1 products by a."""
+    R = RingDescriptor(35, 3)
+    x = random_element(R, random.Random(6))
+    calls = []
+
+    def counting(R, a, b):
+        calls.append((a, b))
+        return ring_mul(R, a, b)
+
+    monkeypatch.setattr(galois, "ring_mul", counting)
+    assert ring_pow(R, x, 0) == R.one() and not calls
+    for e in (1, 2, 3, 16, 255, 256, 2**61 - 1):
+        calls.clear()
+        ring_pow(R, x, e)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
 
 
 # -- the automorphism -------------------------------------------------------
@@ -170,7 +189,7 @@ def test_sigma_is_a_ring_homomorphism():
             assert sigma_apply(R, ring_mul(R, a, b)) == ring_mul(
                 R, sigma_apply(R, a), sigma_apply(R, b)
             )
-            assert sigma_apply(R, ring_add(R, a, b)) == ring_add(
+            assert sigma_apply(R, add(R, a, b)) == add(
                 R, sigma_apply(R, a), sigma_apply(R, b)
             )
 

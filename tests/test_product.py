@@ -4,7 +4,7 @@ from witnesslab.galois import PerfectPower
 from witnesslab.numth import euler_phi, primes_up_to
 from witnesslab.product import count_Str, mc_density, stronger_test
 from witnesslab.rng import CounterRng
-from witnesslab.witness import count_MR_rounds
+from witnesslab.witness import count_MR
 from witnesslab.galois import count_Gal, unit_count
 
 
@@ -19,7 +19,7 @@ def test_count_Str_frozen(n, r, ell, expected):
 def test_count_Str_is_a_product():
     for n in (35, 65, 341):
         for r in range(4):
-            assert count_Str(n, r, 3) == count_MR_rounds(n, r) * count_Gal(n, 3)
+            assert count_Str(n, r, 3) == count_MR(n) ** r * count_Gal(n, 3)
 
 
 def test_stronger_test_deterministic_under_seed():
@@ -94,7 +94,7 @@ def test_mc_density_tracks_exact_ratio():
     cases = [(35, 1, 3), (65, 1, 3), (35, 2, 3)]
     for n, r, ell in cases:
         exact = (
-            count_MR_rounds(n, r)
+            count_MR(n) ** r
             / euler_phi(n) ** r
             * count_Gal(n, ell)
             / unit_count(n, ell)

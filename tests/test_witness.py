@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from witnesslab.numth import BudgetExceeded, NotCoprime, euler_phi, is_prime
+from witnesslab.rng import CounterRng
 from witnesslab.witness import (
+    _mr_rounds,
     brute_F,
     brute_MR,
     count_F,
     count_MR,
-    count_MR_rounds,
     fermat_witness,
     is_carmichael,
     mr_params,
     mr_witness,
-    multi_round_mr,
 )
 
 CARMICHAELS_BELOW_1E5 = [
@@ -89,14 +89,6 @@ def test_count_MR_prime_is_group_order():
         assert count_MR(p) == p - 1
 
 
-def test_count_MR_rounds():
-    assert count_MR_rounds(35, 1) == 2
-    assert count_MR_rounds(35, 2) == 4
-    assert count_MR_rounds(35, 0) == 1
-    with pytest.raises(ValueError):
-        count_MR_rounds(35, -1)
-
-
 def test_brute_oracles_match_scalar_predicates():
     """The vectorized enumerations agree with the per-base predicates."""
     for n in (9, 15, 21, 35, 49, 91, 105, 561):
@@ -147,16 +139,20 @@ def test_carmichael_iff_full_fermat_deception():
         assert (count_F(n) == euler_phi(n)) == is_carmichael(n), n
 
 
-def test_multi_round_mr_contract():
-    assert multi_round_mr(97, 5, rng=0)
-    assert multi_round_mr(561, 3, rng=0) is False
+def passes_mr_rounds(n, r, seed):
+    return _mr_rounds(n, r, CounterRng(seed)) is None
+
+
+def test_mr_rounds_contract():
+    assert passes_mr_rounds(97, 5, 0)
+    assert not passes_mr_rounds(561, 3, 0)
     # deterministic under the seeded rng contract
-    assert multi_round_mr(341, 2, rng=7) == multi_round_mr(341, 2, rng=7)
-    assert multi_round_mr(341, 0, rng=0)  # zero rounds never reject
+    assert _mr_rounds(341, 2, CounterRng(7)) == _mr_rounds(341, 2, CounterRng(7))
+    assert passes_mr_rounds(341, 0, 0)  # zero rounds never reject
 
 
-def test_multi_round_mr_error_rate_is_low():
-    wrong = sum(1 for seed in range(200) if multi_round_mr(341, 2, rng=seed))
+def test_mr_rounds_error_rate_is_low():
+    wrong = sum(1 for seed in range(200) if passes_mr_rounds(341, 2, seed))
     # MR(341) = 50 of phi = 300, so two rounds pass with chance ~1/36
     assert wrong <= 30
 
