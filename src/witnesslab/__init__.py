@@ -32,8 +32,6 @@ from .witness import (
     mr_witness,
 )
 from .galois import (
-    GaloisOutcome,
-    Invertibility,
     InvalidConductor,
     NoConductor,
     NonIntegral,

@@ -323,7 +323,8 @@ class AdversarialConfig:
     """Knobs for constructing n = s*q with a guaranteed witness floor.
 
     M should be a highly divisible modulus (lcm_range works well); the
-    pool collects primes p with cutoff < p <= prime_bound and p-1 | M.
+    pool collects primes p with cutoff < p <= prime_bound, p-1 | M and
+    p not dividing M.
     """
 
     M: int = lcm_range(12)
@@ -344,11 +345,14 @@ class AdversarialOutcome:
 
 
 def adversarial_pool(cfg: AdversarialConfig) -> tuple[int, ...]:
-    """Primes p with cutoff < p <= prime_bound and p - 1 dividing M."""
+    """Primes p with cutoff < p <= prime_bound, p - 1 dividing M and p not.
+
+    A pool prime dividing M would leave s without an inverse mod M.
+    """
     return tuple(
         p
         for p in primes_up_to(cfg.prime_bound)
-        if p > cfg.cutoff and cfg.M % (p - 1) == 0
+        if p > cfg.cutoff and cfg.M % (p - 1) == 0 and cfg.M % p != 0
     )
 
 
@@ -383,8 +387,6 @@ def adversarial_generate(
         picked = gen.choice(len(pool), size=cfg.k, replace=False)
         chosen = tuple(sorted(pool[int(i)] for i in picked))
     s = math.prod(chosen)
-    if math.gcd(s, cfg.M) != 1:
-        raise NoQFound(f"s={s} shares a factor with M={cfg.M}")
     target = pow(s, -1, cfg.M)
     q = target if target > 1 else target + cfg.M
     while q <= cfg.q_search_limit:

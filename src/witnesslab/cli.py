@@ -4,7 +4,8 @@ Verdict and summary lines go to stdout as key=value pairs; row data is
 CSV (fixed header) or newline-delimited JSON mirroring the same
 columns.  Exit codes: 0 for a completed run (whatever the verdict),
 2 for invalid arguments, 3 when an oracle check finds a mismatch, 1
-for unexpected runtime failures.
+for a runtime failure (a typed error, an exceeded budget or an I/O
+error), reported as one error: line on stderr.
 
 The default seed comes from the WITNESSLAB_SEED environment variable
 (0 when unset); --seed overrides it.
@@ -19,9 +20,9 @@ import sys
 
 from . import analysis, galois, product, witness
 from .analysis import AdversarialConfig, FixedEll, SmallestEll
-from .galois import NoConductor, PerfectPower
-from .numth import is_prime, lcm_range
-from .rng import CounterRng, default_seed
+from .galois import PerfectPower
+from .numth import BudgetExceeded, is_prime, lcm_range
+from .rng import CounterRng
 
 def _record_object(rec: analysis.SweepRecord) -> dict:
     """The record's columns, in output order; JSON rows write this dict."""
@@ -101,10 +102,9 @@ def _emit(**fields) -> None:
 
 
 def cmd_test(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    ell = args.ell
+    streams = CounterRng(args.seed)
     try:
-        verdict = product.stronger_test(args.n, args.rounds, ell, CounterRng(seed))
+        verdict = product.stronger_test(args.n, args.rounds, args.ell, streams)
     except PerfectPower as power:
         _emit(
             n=args.n,
@@ -114,9 +114,6 @@ def cmd_test(args) -> int:
             exponent=power.exponent,
         )
         return 0
-    except NoConductor as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     fields = {"n": args.n, "verdict": verdict.outcome}
     if verdict.evidence is not None:
         kind, detail = verdict.evidence
@@ -128,16 +125,15 @@ def cmd_test(args) -> int:
         else:
             fields["stage"] = "galois"
     fields["rounds"] = args.rounds
-    if ell is not None:
-        fields["ell"] = ell
-    fields["seed"] = seed
+    if args.ell is not None:
+        fields["ell"] = args.ell
+    fields["seed"] = streams.seed
     _emit(**fields)
     return 0
 
 
 def cmd_count(args) -> int:
-    policy = args.ell
-    rec = analysis.examine(args.n, args.rounds, policy)
+    rec = analysis.examine(args.n, args.rounds, args.ell)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     writer.writerow(_record_cells(rec))
@@ -145,7 +141,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    policy = args.ell
     try:
         handle = open(args.out, "w", newline="")
     except OSError as exc:
@@ -166,7 +161,7 @@ def cmd_sweep(args) -> int:
                 handle.write("\n")
 
         agg = analysis.sweep(
-            args.max, args.rounds, policy, workers=args.workers, record_sink=sink
+            args.max, args.rounds, args.ell, workers=args.workers, record_sink=sink
         )
     _emit(
         x=agg.x,
@@ -184,8 +179,8 @@ def cmd_sweep(args) -> int:
         sum_log_H=repr(agg.sum_log_H.value()),
         out=args.out,
     )
-    if isinstance(policy, FixedEll):
-        report = analysis.compare_bounds(agg, policy.ell - 1, args.rounds)
+    if isinstance(args.ell, FixedEll):
+        report = analysis.compare_bounds(agg, args.ell.ell - 1, args.rounds)
         for line in report.render():
             print(line)
     else:
@@ -209,8 +204,8 @@ def cmd_adversary(args) -> int:
         k=args.k,
         q_search_limit=args.q_limit,
     )
-    seed = args.seed if args.seed is not None else default_seed()
-    outcome = analysis.adversarial_generate(cfg, CounterRng(seed))
+    streams = CounterRng(args.seed)
+    outcome = analysis.adversarial_generate(cfg, streams)
     _emit(
         n=outcome.n,
         s=outcome.s,
@@ -219,7 +214,7 @@ def cmd_adversary(args) -> int:
         chosen=",".join(str(p) for p in outcome.chosen),
         pool=",".join(str(p) for p in outcome.pool),
         M=cfg.M,
-        seed=seed,
+        seed=streams.seed,
     )
     return 0
 
@@ -302,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

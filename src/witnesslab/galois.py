@@ -8,6 +8,8 @@ when a sampled unit x satisfies sigma(x) = x**n; for prime n that is
 the Frobenius identity, for composite n it almost never holds.  Units
 are decided in one place, by the ring norm: x is a unit of S exactly
 when the product of its d conjugates, a constant, is a unit mod n.
+galois_test returns None on a pass and otherwise the evidence tuple a
+composite StrongerVerdict carries, as the Miller-Rabin rounds do.
 count_Gal counts the accepted units in closed form and brute_Gal by
 enumeration.  Closed forms take n or its Factorization.  count_Gal,
 count_D and cofactor_k are the three fields of one pass over the
@@ -219,66 +221,38 @@ def ring_norm(R: RingDescriptor, x) -> int:
     return y[0]
 
 
-@dataclass(frozen=True)
-class Invertibility:
-    """Whether an element of S is a unit.
-
-    status is "invertible", "zero", or "zero-divisor".  For a zero
-    divisor, factor is g = gcd(norm, n) when 1 < g < n, a proper
-    divisor of n, and None when g = n.
-    """
-
-    status: str
-    factor: int | None = None
-
-
-def invertibility(R: RingDescriptor, x) -> Invertibility:
-    """Decide whether x is a unit of S through its ring norm.
+def invertibility(R: RingDescriptor, x) -> int:
+    """g = gcd(norm(x), n): 1 exactly when x is a unit of S.
 
     x is a unit exactly when its norm is a unit of Z/nZ: modulo each
     prime p of n, S/pS is a product of fields permuted transitively by
     sigma, so the norm vanishes mod p as soon as x vanishes in one of
-    them.
+    them.  A g strictly between 1 and n is a proper divisor of n; g = n
+    (the zero element included) leaves no factor.
     """
-    if not any(c % R.n for c in x):
-        return Invertibility("zero")
-    g = math.gcd(ring_norm(R, x), R.n)
-    if g == 1:
-        return Invertibility("invertible")
-    return Invertibility("zero-divisor", factor=g if g < R.n else None)
+    return math.gcd(ring_norm(R, x), R.n)
 
 
-@dataclass(frozen=True)
-class GaloisOutcome:
-    """Result of one Galois round: "pass", "fail" (a unit with
-    sigma(x) != x**n), "not-a-unit", or "factor-found"."""
+def galois_test(R: RingDescriptor, x) -> tuple | None:
+    """One round on a nonzero x: None (a pass) iff x is a unit and sigma(x) = x**n.
 
-    status: str
-    factor: int | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-def galois_test(R: RingDescriptor, x) -> GaloisOutcome:
-    """One round on a nonzero x: pass iff x is a unit and sigma(x) = x**n.
-
-    The pass set is exactly the set count_Gal counts.  A zero divisor
-    certifies n composite; when the gcd of its norm with n is a proper
-    divisor of n the outcome carries it as a factor.
+    The pass set is exactly the set count_Gal counts.  Otherwise the
+    result is the StrongerVerdict evidence for n composite:
+    ("factor", g) when g = gcd(norm(x), n) is a proper divisor of n,
+    ("galois-round", "not-a-unit") when g = n, and
+    ("galois-round", "sigma-mismatch") for a unit with sigma(x) != x**n.
     """
     x = tuple(x)
-    inv = invertibility(R, x)
-    if inv.status == "zero":
+    if not any(c % R.n for c in x):
         raise ValueError("x must be nonzero")
-    if inv.status == "zero-divisor":
-        if inv.factor is None:
-            return GaloisOutcome("not-a-unit")
-        return GaloisOutcome("factor-found", factor=inv.factor)
+    g = invertibility(R, x)
+    if g == R.n:
+        return ("galois-round", "not-a-unit")
+    if g > 1:
+        return ("factor", g)
     if sigma_apply(R, x) == ring_pow(R, x, R.n):
-        return GaloisOutcome("pass")
-    return GaloisOutcome("fail")
+        return None
+    return ("galois-round", "sigma-mismatch")
 
 
 @dataclass(frozen=True)
@@ -358,9 +332,10 @@ def count_H(n: int | Factorization, d: int) -> int:
     n = fac.n
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
+    n_d = n**d - 1
     result = 1
     for p in fac.primes():
-        result *= math.gcd(p**d - 1, n**d - 1)
+        result *= math.gcd(p**d - 1, n_d)
     return result
 
 
@@ -423,7 +398,7 @@ def brute_Gal(n: int, ell: int) -> int:
     """Oracle: enumerate all of S and count Galois-passing units.
 
     Independent of count_Gal: no factorization of n, just the defining
-    condition checked for every coefficient vector.  Invertibility is
+    condition checked for every coefficient vector.  Units are
     decided through the ring norm, the product of all sigma-conjugates,
     which lands in Z/nZ and is a unit exactly when x is.
     """

@@ -2,8 +2,9 @@
 
 Everything here works on plain Python integers.  Factorization is meant
 for desk-scale inputs (up to about 10**12): trial division by a cached
-prime table, then Pollard rho splitting with a deterministic
-Miller-Rabin certification of every prime factor.
+prime table, then Pollard rho splitting.  Trial division proves prime
+any factor below p**2, p the last trial prime reached; is_prime
+certifies the larger ones.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class BudgetExceeded(RuntimeError):
 
 
 _TRIAL_BOUND = 10_000
+_SIEVE_LIMIT = 10**8
 
 # Miller-Rabin to the first 13 prime bases is deterministic below
 # psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
@@ -33,7 +35,10 @@ _PSI_13 = 3317044064679887385961981
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve of Eratosthenes."""
+    """All primes <= limit, by sieve of Eratosthenes: limit + 1 bytes, so
+    above _SIEVE_LIMIT it raises BudgetExceeded before allocating."""
+    if limit > _SIEVE_LIMIT:
+        raise BudgetExceeded(f"sieve capped at {_SIEVE_LIMIT}, got {limit}")
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)
@@ -209,13 +214,12 @@ def factorize(n: int) -> Factorization:
         while remaining % p == 0:
             counts[p] = counts.get(p, 0) + 1
             remaining //= p
-    # What is left is 1, a prime, or a product of primes > 10**4.
+    # What is left, and every factor of it, has no prime factor below the
+    # last trial prime p reached, so each such m < p*p is a prime.
     stack = [remaining] if remaining > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < p * p or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
         root = math.isqrt(m)

@@ -2,8 +2,11 @@
 
 Its bad-witness count is multiplicative, count_MR(n)**r * count_Gal(n),
 which is what makes the product strictly stronger than either factor
-alone.  mc_density estimates the same quantity empirically by sampling
-witness tuples, as a sanity check on the closed forms.
+alone.  Each round returns None when n passes it and otherwise the
+evidence of a composite verdict, so stronger_test runs the Galois round
+only when every Miller-Rabin round passed.  mc_density estimates the
+same quantity empirically by sampling witness tuples, as a sanity check
+on the closed forms.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ COMPOSITE = "composite"
 class StrongerVerdict:
     """Outcome of one run of the combined test.
 
-    evidence explains a composite verdict: ("mr-round", i) for a failed
-    Miller-Rabin round, ("galois-round", reason) for the ring round
-    (reason "sigma-mismatch" or "not-a-unit"),
-    ("factor", g) when a nontrivial factor of n surfaced.
+    evidence is None for probably-prime and otherwise explains the
+    composite verdict: ("mr-round", i) for failed Miller-Rabin round i,
+    ("galois-round", reason) for the ring round (reason "sigma-mismatch"
+    or "not-a-unit"), ("factor", g) when the ring round surfaced a
+    proper divisor g of n.
     """
 
     n: int
@@ -58,17 +62,9 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
         ell = find_conductor(n)
     R = RingDescriptor(n, ell)
     evidence = witness._mr_rounds(n, r, streams)
-    if evidence is not None:
-        return StrongerVerdict(n, COMPOSITE, evidence)
-    x = _draw_nonzero(R, streams.stream(r))
-    outcome = galois.galois_test(R, x)
-    if outcome.status == "factor-found":
-        return StrongerVerdict(n, COMPOSITE, ("factor", outcome.factor))
-    if outcome.status == "not-a-unit":
-        return StrongerVerdict(n, COMPOSITE, ("galois-round", "not-a-unit"))
-    if outcome.status == "fail":
-        return StrongerVerdict(n, COMPOSITE, ("galois-round", "sigma-mismatch"))
-    return StrongerVerdict(n, PROBABLY_PRIME)
+    if evidence is None:
+        evidence = galois.galois_test(R, _draw_nonzero(R, streams.stream(r)))
+    return StrongerVerdict(n, PROBABLY_PRIME if evidence is None else COMPOSITE, evidence)
 
 
 def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
@@ -81,7 +77,7 @@ def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
 def _draw_unit(R: RingDescriptor, gen) -> tuple[int, ...]:
     while True:
         x = _draw_nonzero(R, gen)
-        if galois.invertibility(R, x).status == "invertible":
+        if galois.invertibility(R, x) == 1:
             return x
 
 
@@ -117,7 +113,7 @@ def mc_density(
                 ok = False
                 break
         if ok:
-            ok = galois.galois_test(R, _draw_unit(R, gen)).passed
+            ok = galois.galois_test(R, _draw_unit(R, gen)) is None
         if ok:
             hits += 1
     density = hits / samples

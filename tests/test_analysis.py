@@ -347,9 +347,11 @@ def test_adversarial_needs_at_least_one_prime():
 
 
 def test_adversarial_no_q_when_s_shares_factor_with_m():
-    # 7 divides lcm(1..12), so s = 7 can never be inverted mod M
+    # 7 divides lcm(1..12), so s = 7 could never be inverted mod M: the
+    # pool leaves out every prime dividing M
     cfg = AdversarialConfig(M=lcm_range(12), k=1)
-    with pytest.raises(NoQFound):
+    assert not {7, 11} & set(adversarial_pool(cfg))
+    with pytest.raises(ValueError, match="7 is not in the pool"):
         adversarial_generate(cfg, subset=(7,))
 
 

@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from witnesslab import cli, product, witness
+from witnesslab.galois import NoConductor
+
 EXPECTED_HEADER = "n,composite,F,MR,Gal,D,H,k,Str,ell,skip"
 
 
@@ -209,3 +212,49 @@ def test_oracle_check_passes():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 99
     assert all(line.endswith("status=pass") for line in lines)
+
+
+def _error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_sweep_write_failure_is_an_error_line():
+    proc = run_cli("sweep", "--max", "5", "--out", "/dev/full")
+    assert proc.returncode == 1
+    assert len(_error_lines(proc.stderr)) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_constants_bound_above_sieve_cap_exits_1():
+    proc = run_cli("constants", "--bound", "100000001")
+    assert proc.returncode == 1
+    assert len(_error_lines(proc.stderr)) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_oracle_check_past_brute_budget_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(witness, "_BRUTE_LIMIT", 20)
+    assert cli.main(["oracle-check", "--suite", "f", "--max", "31"]) == 1
+    captured = capsys.readouterr()
+    assert len(_error_lines(captured.err)) == 1
+    assert captured.out.splitlines()[-1].startswith("n=19 ")
+
+
+def test_test_no_conductor_exits_1(monkeypatch, capsys):
+    def no_conductor(n):
+        raise NoConductor(f"no conductor for {n}")
+
+    monkeypatch.setattr(product, "find_conductor", no_conductor)
+    assert cli.main(["test", "341"]) == 1
+    captured = capsys.readouterr()
+    assert _error_lines(captured.err) == ["error: no conductor for 341"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_adversary_defaults_succeed(seed, capsys):
+    assert cli.main(["adversary", "--seed", str(seed)]) == 0
+    fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+    n, M = int(fields["n"]), int(fields["M"])
+    assert M == 27720 and (n - 1) % M == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from witnesslab import numth
 from witnesslab.numth import (
     BudgetExceeded,
     Factorization,
@@ -25,6 +26,13 @@ def test_primes_up_to_small():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_up_to_caps_before_allocating():
+    with pytest.raises(BudgetExceeded):
+        primes_up_to(10**8 + 1)
+    with pytest.raises(BudgetExceeded):
+        primes_up_to(10**10)
 
 
 def test_is_prime_matches_sieve():
@@ -59,6 +67,30 @@ def test_factorize_examples():
     assert factorize(561).factors == ((3, 1), (11, 1), (17, 1))
     assert factorize(1).factors == ()
     assert factorize(2**10).factors == ((2, 10),)
+
+
+def test_factorize_calls_is_prime_only_above_the_trial_square(monkeypatch):
+    # A cofactor below p**2, p the last trial prime reached, has no prime
+    # factor below p and so is prime; trial primes stop at 9973.
+    calls = []
+
+    def counting_is_prime(m):
+        calls.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(numth, "is_prime", counting_is_prime)
+    for n in range(1, 2 * 10**5, 2):
+        assert factorize(n).reconstruct() == n
+    assert calls == []
+    assert factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))
+    assert calls == []
+    # a square and a semiprime of primes above 9973 still need is_prime
+    for n in (10007**2, 10007 * 10009):
+        calls.clear()
+        fac = factorize(n)
+        assert calls != []
+        assert fac.reconstruct() == n and all(is_prime(p) for p in fac.primes())
+    assert factorize(10007**2).factors == ((10007, 2),)
 
 
 def test_factorize_reconstructs():

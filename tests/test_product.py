@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from witnesslab.galois import PerfectPower
@@ -107,3 +109,24 @@ def test_mc_density_different_seeds_differ():
     a = mc_density(35, 1, 3, 2000, seed=1)
     b = mc_density(35, 1, 3, 2000, seed=2)
     assert a != b
+
+
+def test_seeded_verdicts_frozen():
+    # The 2000 odd n above 10**6 hold every kind of verdict but not-a-unit;
+    # 1002001 = 1001**2 is the one perfect power.
+    digest = hashlib.sha256()
+    kinds = set()
+    for seed in (0, 1):
+        for r in (0, 2):
+            for n in range(10**6 + 1, 10**6 + 4000, 2):
+                try:
+                    v = stronger_test(n, r, None, CounterRng(seed))
+                    row = (n, v.outcome, v.evidence)
+                except PerfectPower as power:
+                    row = (n, "composite", ("perfect-power", power.base))
+                kinds.add(row[2] if row[2] is None else row[2][0])
+                digest.update(repr(row).encode())
+    assert kinds == {None, "mr-round", "galois-round", "factor", "perfect-power"}
+    assert digest.hexdigest() == (
+        "4f79d3d37a4bdb4c948b08737f7f21df50c12f41f82614c3f2d6f4d3f478688e"
+    )
