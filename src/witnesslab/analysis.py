@@ -264,10 +264,15 @@ def sweep(
                 for rec in records:
                     record_sink(rec)
             total = total.merge(partial)
-    finally:
+    except BaseException:
+        # Stop the workers now: close() and join() would let every
+        # queued chunk finish before the error reached the caller.
         if workers > 1:
-            pool.close()
-            pool.join()
+            pool.terminate()
+        raise
+    if workers > 1:
+        pool.close()
+        pool.join()
     return total
 
 

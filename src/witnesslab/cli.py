@@ -22,7 +22,7 @@ from . import analysis, galois, product, witness
 from .analysis import AdversarialConfig, FixedEll, SmallestEll
 from .galois import PerfectPower
 from .numth import BudgetExceeded, is_prime, lcm_range
-from .rng import CounterRng
+from .rng import SEED_BOUND, CounterRng
 
 def _record_object(rec: analysis.SweepRecord) -> dict:
     """The record's columns, in output order; JSON rows write this dict."""
@@ -78,6 +78,16 @@ def _int_at_least(low: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
     return parse
+
+
+def _seed(text: str) -> int:
+    value = _int_at_least(0)(text)
+    if value >= SEED_BOUND:
+        raise argparse.ArgumentTypeError(f"expected a seed below 2**128, got {value}")
+    return value
+
+
+_seed.__name__ = "int"
 
 
 def _parse_modulus(text: str) -> int:
@@ -251,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_odd_n)
     p.add_argument("--rounds", type=_int_at_least(0), default=2, help="Miller-Rabin rounds")
     p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or an odd prime")
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("count", help="exact counts for one n as a CSV row")
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=int, default=5)
     p.add_argument("--k", type=_int_at_least(1), default=3)
     p.add_argument("--q-limit", type=int, default=10**6)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("oracle-check", help="closed forms against enumeration")

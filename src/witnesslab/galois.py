@@ -16,24 +16,45 @@ count_D and cofactor_k are the three fields of one pass over the
 primes of n, which a sweep runs once per (n, ell).
 
 Elements are coefficient tuples of length d over the power basis
-1, X, ..., X**(ell-2).  Products use Kronecker substitution: each
-operand, reduced mod n, is packed into one integer with coefficient i
-in the w-bit slot i, w = 2*bitlen(n) + bitlen(ell), and one integer
-product gives the polynomial product.  Working mod X**ell - 1, a
-coefficient sums at most d products, each below n**2, so it stays
-below d * n**2 < 2**w and no slot carries into the next.  X**ell = 1
-is applied to the packed product P as one fold modulo 2**(w*ell) - 1,
-(P & (2**(w*ell) - 1)) + (P >> (w*ell)), which adds slot k + ell onto
-slot k.  The ell slots are then unpacked, the relation 1 + X + ... +
-X**(ell-1) = 0 subtracts the top slot from the others, and each
-coefficient is reduced mod n.
+1, X, ..., X**(ell-2).  Products use Kronecker substitution: an
+element is packed into one integer with coefficient i in the W-bit
+slot i, and one integer product gives the polynomial product.
+ring_pow keeps its operands packed from the first product to the
+last, every coefficient only lazily reduced, in [0, 5n).  With
+b = bitlen(n) and L = bitlen(ell), a coefficient of a product mod
+X**ell - 1 sums at most d < 2**L products below (5n)**2 < 2**(2b+5),
+so every slot of a product stays below 2**X, X = 2b + L + 8.
+X**ell = 1 is applied to the packed product P as one fold modulo
+2**(W*ell) - 1, (P & (2**(W*ell) - 1)) + (P >> (W*ell)), which adds
+slot k + ell onto slot k.  The top slot d is then taken off, and the
+d low slots are reduced together by one Barrett step (Barrett,
+CRYPTO '86): with mu = floor(2**(X+1) / n) and T keeping the low
+X-b+1 bits of each slot, the slotwise quotient estimate
+Q = ((((P >> (b-1)) & T) * mu) >> (X-b+2)) & T satisfies
+q - 2 <= Q <= q for the true quotient q of each slot.  (Dropping the
+low b-1 bits costs the estimate under 2**(b-1)/n <= 1, flooring mu
+under P/2**(X+1) < 1/2.)  So P - Q*n leaves every slot in [0, 3n).
+The relation 1 + X + ... + X**(ell-1) = 0 subtracts the top slot from
+the others: adding (n - top mod n) * ones, with the repunit ones the
+sum of 2**(W*i) over i < d, adds a value in [1, n] to each slot,
+which ends below 4n, inside [0, 5n).  No mask or shift crosses a
+slot.  A slot of the masked P >> (b-1) times mu is below
+2**(X-b+1) * 2**(X-b+2) = 2**(2X-2b+3), within W = 2X - 2b + 5 bits,
+and the low bits that either right shift moves out of a slot land
+above the X-b+1 bits that T keeps of the slot below.  Q*n is at most
+P in every slot, so the subtraction borrows across no slot.  Only the
+result is unpacked, with one reduction mod n per coefficient; ring_mul
+is the same kernel between a pack and an unpack.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,6 +150,29 @@ class RingDescriptor:
         object.__setattr__(self, "d", self.ell - 1)
         object.__setattr__(self, "sigma_exponent", self.n % self.ell)
 
+    @cached_property
+    def layout(self) -> KroneckerLayout:
+        """The packed-product constants of this ring (see the module docstring)."""
+        n, d = self.n, self.d
+        b = n.bit_length()
+        x = 2 * b + self.ell.bit_length() + 8
+        w = 2 * x - 2 * b + 5
+        ones = ((1 << (w * d)) - 1) // ((1 << w) - 1)
+        return KroneckerLayout(
+            n=n,
+            d=d,
+            w=w,
+            span=w * self.ell,
+            fold_mask=(1 << (w * self.ell)) - 1,
+            top=w * d,
+            low_mask=(1 << (w * d)) - 1,
+            shift=b - 1,
+            quotient_mask=ones * ((1 << (x - b + 1)) - 1),
+            mu=(1 << (x + 1)) // n,
+            quotient_shift=x - b + 2,
+            ones=ones,
+        )
+
     def element(self, coeffs) -> tuple[int, ...]:
         """Canonicalize a coefficient sequence (length <= d) into S."""
         coeffs = list(coeffs)
@@ -148,46 +192,103 @@ class RingDescriptor:
         return self.element([0, 1])
 
 
-def _pack(a, n: int, w: int) -> int:
-    """The integer holding a's coefficients, reduced mod n, in w-bit slots."""
+class KroneckerLayout(NamedTuple):
+    """Slot width W and Barrett constants of the packed product in one ring."""
+
+    n: int
+    d: int
+    w: int  # W = 2X - 2b + 5 bits per slot
+    span: int  # W * ell: the fold point of X**ell = 1
+    fold_mask: int  # 2**span - 1
+    top: int  # W * d: where slot d starts
+    low_mask: int  # 2**top - 1: the d low slots
+    shift: int  # b - 1
+    quotient_mask: int  # T: the low X - b + 1 bits of each of the d slots
+    mu: int  # floor(2**(X+1) / n)
+    quotient_shift: int  # X + 1 - (b - 1)
+    ones: int  # the repunit sum of 2**(W*i) over i < d
+
+
+def _pack(a, lay: KroneckerLayout) -> int:
+    """The integer holding a's coefficients, reduced mod n, in W-bit slots."""
+    n, w = lay.n, lay.w
     packed = 0
     for c in reversed(a):
         packed = packed << w | c % n
     return packed
 
 
+def _unpack(packed: int, lay: KroneckerLayout) -> tuple[int, ...]:
+    """The canonical coefficient tuple of a packed element."""
+    n, w = lay.n, lay.w
+    mask = (1 << w) - 1
+    return tuple((packed >> (w * i) & mask) % n for i in range(lay.d))
+
+
+def _mul_packed(A: int, B: int, lay: KroneckerLayout) -> int:
+    """The product kernel: packed A * B in S, every slot in [0, 5n) in and out."""
+    n, _, _, span, fold_mask, top_at, low_mask, shift, mask, mu, quotient_shift, ones = lay
+    P = A * B
+    P = (P & fold_mask) + (P >> span)
+    top = P >> top_at
+    P &= low_mask
+    Q = (((P >> shift) & mask) * mu >> quotient_shift) & mask
+    return P - Q * n + (n - top % n) * ones
+
+
 def ring_mul(R: RingDescriptor, a, b) -> tuple[int, ...]:
     """Product in S by Kronecker substitution (see the module docstring).
 
     Coefficients outside [0, n) are accepted; the result is canonical.
+    More than d coefficients raise ValueError, as R.element does: the
+    kernel's slot bounds hold for d slots.
     """
-    n, ell = R.n, R.ell
-    w = 2 * n.bit_length() + ell.bit_length()
-    packed = _pack(a, n, w)
-    P = packed * packed if a is b else packed * _pack(b, n, w)
-    span = w * ell
-    P = (P & ((1 << span) - 1)) + (P >> span)
-    top = P >> (span - w)
-    mask = (1 << w) - 1
-    coeffs = []
-    for _ in range(ell - 1):
-        coeffs.append(((P & mask) - top) % n)
-        P >>= w
-    return tuple(coeffs)
+    if len(a) > R.d or len(b) > R.d:
+        raise ValueError(f"at most {R.d} coefficients expected")
+    lay = R.layout
+    A = _pack(a, lay)
+    return _unpack(_mul_packed(A, A if a is b else _pack(b, lay), lay), lay)
+
+
+_WINDOW_EDGES = (8, 24, 80, 240, 672)  # bitlen(e) where ring_pow's k grows
 
 
 def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:
-    """a**e in S by left-to-right square-and-multiply (e >= 0): for e >= 1,
-    bitlen(e) - 1 squarings and popcount(e) - 1 products by a."""
+    """a**e in S (e >= 0) by a left-to-right sliding window (HAC 14.85).
+
+    The window width k follows bitlen(e): 1 below 8 bits, 2 below 24,
+    3 below 80, 4 below 240, 5 below 672 and 6 from 672 on.  For e >= 1
+    the products are: the table of odd powers a, a**3, ..., a**(2**k-1),
+    2**(k-1) products when k > 1 (a**2, then one per further entry)
+    and none when k = 1; then, with e cut from the left into windows of
+    at most k bits that start and end with a 1, bitlen(e) minus the
+    first window's length squarings and one product per later window.
+    The operands stay packed in between (_mul_packed).
+    """
     if e < 0:
         raise ValueError("negative exponent")
     a = R.element(a)
-    result = a if e else R.one()
-    for bit in bin(e)[3:]:
-        result = ring_mul(R, result, result)
-        if bit == "1":
-            result = ring_mul(R, result, a)
-    return result
+    if not e:
+        return R.one()
+    lay = R.layout
+    k = 1 + bisect_right(_WINDOW_EDGES, e.bit_length())
+    odd = [_pack(a, lay)]  # odd[i] = a**(2*i + 1)
+    if k > 1:
+        square = _mul_packed(odd[0], odd[0], lay)
+        for _ in range(2 ** (k - 1) - 1):
+            odd.append(_mul_packed(odd[-1], square, lay))
+    # Each piece is the zeros before a window, then the window: the
+    # longest run of at most k bits that starts and ends with a 1.
+    bits = bin(e)[2:]
+    first, *pieces = re.findall(f"0*1[01]{{0,{k - 1}}}(?<=1)", bits)
+    result = odd[int(first, 2) >> 1]
+    for piece in pieces:
+        for _ in range(len(piece)):
+            result = _mul_packed(result, result, lay)
+        result = _mul_packed(result, odd[int(piece, 2) >> 1], lay)
+    for _ in range(len(bits) - len(bits.rstrip("0"))):
+        result = _mul_packed(result, result, lay)
+    return _unpack(result, lay)
 
 
 def sigma_apply(R: RingDescriptor, x, j: int = 1) -> tuple[int, ...]:

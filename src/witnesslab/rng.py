@@ -19,6 +19,9 @@ ENV_SEED = "WITNESSLAB_SEED"
 # Generator.integers draws int64 values, so high may be at most 2**63.
 _INT64_BOUND = 1 << 63
 
+# Philox takes a 128-bit key, so a seed lies in [0, SEED_BOUND).
+SEED_BOUND = 1 << 128
+
 
 def default_seed() -> int:
     """Seed from the environment, or 0 when unset."""
@@ -39,8 +42,8 @@ class CounterRng:
 
     def __init__(self, seed: int | None = None):
         self.seed = default_seed() if seed is None else int(seed)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed < SEED_BOUND:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
     def stream(self, index: int) -> np.random.Generator:
         """Generator for stream `index`; same (seed, index) = same draws."""

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing.pool
 import sys
 
 import pytest
@@ -216,6 +217,27 @@ def test_sweep_record_sink_order():
     seen = []
     sweep(301, 2, FixedEll(3), workers=2, record_sink=lambda rec: seen.append(rec.n))
     assert seen == list(range(3, 302, 2))
+
+
+def test_sweep_sink_error_terminates_the_pool(monkeypatch):
+    """A failing sink stops the workers before the error reaches the caller,
+    instead of waiting for every queued chunk."""
+    events = []
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def recording_terminate(pool):
+        events.append("terminate")
+        terminate(pool)
+
+    def failing_sink(rec):
+        raise OSError("sink is full")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
+    try:
+        sweep(200001, 2, FixedEll(3), workers=2, record_sink=failing_sink)
+    except OSError as exc:
+        events.append(str(exc))
+    assert events == ["terminate", "sink is full"]
 
 
 def test_sweep_records_roundtrip():

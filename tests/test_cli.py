@@ -70,6 +70,15 @@ def test_test_env_seed_matches_flag():
     assert via_env.stdout == via_flag.stdout
 
 
+def test_env_seed_of_2_128_is_a_runtime_error():
+    proc = run_cli("test", "15", env_extra={"WITNESSLAB_SEED": str(10**41)})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: seed must be in [0, 2**128)")
+    assert "Traceback" not in proc.stderr
+    top = run_cli("test", "15", "--seed", str(2**128 - 1))
+    assert top.returncode == 0 and f"seed={2**128 - 1}" in top.stdout
+
+
 def test_test_rejects_even_n():
     proc = run_cli("test", "8")
     assert proc.returncode == 2
@@ -128,6 +137,8 @@ def test_count_rejects_bare_ell():
         ("test", "35", "--ell", "4"),
         ("test", "35", "--ell", "-3"),
         ("test", "35", "--seed", "-1"),
+        ("test", "35", "--seed", str(2**128)),
+        ("adversary", "--seed", str(10**41)),
         ("oracle-check", "--suite", "f", "--max", "-5"),
     ],
 )

@@ -150,22 +150,61 @@ def test_ring_pow_matches_repeated_mul():
         ring_pow(R, R.one(), -1)
 
 
+def window_products(e):
+    """(squarings, other products) of a k-bit sliding window for e >= 1.
+
+    k comes from bitlen(e) by the table 1 below 8 bits, 2 below 24, 3
+    below 80, 4 below 240, 5 below 672 and 6 above.  Windows are cut from
+    the left: each is the longest run of at most k bits that starts and
+    ends with a 1.
+    """
+    bits = bin(e)[2:]
+    k = next(k for k, edge in enumerate((8, 24, 80, 240, 672, math.inf), 1) if len(bits) < edge)
+    windows, i = [], 0
+    while i < len(bits):
+        if bits[i] == "0":
+            i += 1
+            continue
+        end = min(i + k, len(bits))
+        while bits[end - 1] == "0":
+            end -= 1
+        windows.append((i, end))
+        i = end
+    table = 2 ** (k - 1) if k > 1 else 0  # a**2, then a**3 .. a**(2**k - 1)
+    first_length = windows[0][1]
+    squarings = len(bits) - first_length + (k > 1)
+    return squarings, table - (k > 1) + len(windows) - 1
+
+
 def test_ring_pow_makes_no_wasted_products(monkeypatch):
-    """e >= 1 costs bitlen(e) - 1 squarings and popcount(e) - 1 products by a."""
+    """ring_pow runs on the packed kernel alone and makes exactly the window
+    count of products: the odd-power table, bitlen(e) minus the first
+    window's length squarings, and one product per later window."""
     R = RingDescriptor(35, 3)
     x = random_element(R, random.Random(6))
     calls = []
 
-    def counting(R, a, b):
-        calls.append((a, b))
-        return ring_mul(R, a, b)
+    def counting(A, B, lay):
+        calls.append(A is B)
+        return kernel(A, B, lay)
 
-    monkeypatch.setattr(galois, "ring_mul", counting)
+    def forbidden(*args):
+        raise AssertionError("ring_pow called ring_mul")
+
+    kernel = galois._mul_packed
+    monkeypatch.setattr(galois, "_mul_packed", counting)
+    monkeypatch.setattr(galois, "ring_mul", forbidden)
     assert ring_pow(R, x, 0) == R.one() and not calls
-    for e in (1, 2, 3, 16, 255, 256, 2**61 - 1):
+    assert ring_pow(R, x, 1) == x and not calls
+    exponents = [2, 3, 16, 127, 128, 129, 255, 256, 2**23 - 1, 2**23, 2**23 + 1, 2**61 - 1, 2**79,
+                 2**79 + 1, 2**239 - 1, 2**239 + 1, 2**671 - 1, 2**671, 2**671 + 1, 3**700]
+    for e in exponents:
         calls.clear()
         ring_pow(R, x, e)
-        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        assert (calls.count(True), calls.count(False)) == window_products(e), e
+    # 61 ones, k = 3: a**2 and a**3 .. a**7, then 21 windows 111 .. 111 1
+    # after the first: 82 products where square-and-multiply makes 120
+    assert window_products(2**61 - 1) == (1 + 61 - 3, 3 + 20)
 
 
 # -- the automorphism -------------------------------------------------------

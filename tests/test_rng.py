@@ -36,6 +36,17 @@ def test_coerce():
     assert CounterRng.coerce(None).seed == default_seed()
 
 
+def test_seeds_outside_128_bits_are_rejected(monkeypatch):
+    assert CounterRng(2**128 - 1).stream(0).integers(0, 10) >= 0
+    message = r"seed must be in \[0, 2\*\*128\)"
+    for seed in (-1, 2**128, 10**41):
+        with pytest.raises(ValueError, match=message):
+            CounterRng(seed)
+    monkeypatch.setenv(ENV_SEED, str(10**41))
+    with pytest.raises(ValueError, match=message):
+        CounterRng()
+
+
 def test_stream_rejects_negative_index():
     with pytest.raises(ValueError):
         CounterRng(0).stream(-1)
