@@ -21,14 +21,12 @@ from .numth import (
     unity_root_count,
 )
 from .witness import (
-    MrParams,
     brute_F,
     brute_MR,
     count_F,
     count_MR,
     fermat_witness,
     is_carmichael,
-    mr_params,
     mr_witness,
 )
 from .galois import (

@@ -13,6 +13,7 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import witness
 from .galois import (
@@ -55,12 +56,11 @@ class SmallestEll:
     ell_max: int = DEFAULT_ELL_MAX
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """Counts for one visited odd n.
+class SweepRecord(NamedTuple):
+    """Counts for one visited odd n; the fields are the record columns.
 
     F and MR are always present.  The conductor-dependent fields are
-    None when the policy skipped n, with skipped_reason holding a tag
+    None when the policy skipped n, with skip holding a tag
     ("perfect-power", "not-coprime", "not-primitive-root",
     "no-conductor").
     """
@@ -72,14 +72,14 @@ class SweepRecord:
     Gal: int | None = None
     D: int | None = None
     H: int | None = None
-    k_cofactor: int | None = None
-    Str_r: int | None = None
+    k: int | None = None
+    Str: int | None = None
     ell: int | None = None
-    skipped_reason: str | None = None
+    skip: str | None = None
 
     @property
     def covered(self) -> bool:
-        return self.skipped_reason is None
+        return self.skip is None
 
 
 class _CompensatedSum:
@@ -153,7 +153,7 @@ class SweepAggregate:
             if rec.composite:
                 self.count_covered_composite += 1
                 self.sum_Gal += rec.Gal
-                self.sum_Str += rec.Str_r
+                self.sum_Str += rec.Str
         else:
             self.count_skipped += 1
 
@@ -196,9 +196,7 @@ def examine(n: int, r: int, policy) -> SweepRecord:
         raise TypeError(f"unknown conductor policy: {policy!r}")
 
     if skip is not None:
-        return SweepRecord(
-            n=n, composite=composite, F=f_count, MR=mr_count, skipped_reason=skip
-        )
+        return SweepRecord(n=n, composite=composite, F=f_count, MR=mr_count, skip=skip)
     gal, relaxed, k = _conductor_counts(fac, ell)  # ell was checked above
     return SweepRecord(
         n=n,
@@ -208,8 +206,8 @@ def examine(n: int, r: int, policy) -> SweepRecord:
         Gal=gal,
         D=relaxed,
         H=count_H(fac, ell - 1),
-        k_cofactor=k,
-        Str_r=mr_count**r * gal,
+        k=k,
+        Str=mr_count**r * gal,
         ell=ell,
     )
 
@@ -252,27 +250,22 @@ def sweep(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     chunk_args = [(start, stop, r, policy) for start, stop in _chunk_ranges(x_max)]
-    total = SweepAggregate(rounds=r)
     if workers == 1:
-        results = map(_process_chunk, chunk_args)
-    else:
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        results = pool.imap(_process_chunk, chunk_args)
-    try:
-        for records, partial in results:
-            if record_sink is not None:
-                for rec in records:
-                    record_sink(rec)
-            total = total.merge(partial)
-    except BaseException:
-        # Stop the workers now: close() and join() would let every
-        # queued chunk finish before the error reached the caller.
-        if workers > 1:
-            pool.terminate()
-        raise
-    if workers > 1:
-        pool.close()
-        pool.join()
+        return _reduce(map(_process_chunk, chunk_args), r, record_sink)
+    # Leaving the block calls terminate(): on an error in the sink the
+    # workers stop now instead of finishing every queued chunk first.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return _reduce(pool.imap(_process_chunk, chunk_args), r, record_sink)
+
+
+def _reduce(results, r: int, record_sink) -> SweepAggregate:
+    """Merge chunk results in chunk order, feeding each record to the sink."""
+    total = SweepAggregate(rounds=r)
+    for records, partial in results:
+        if record_sink is not None:
+            for rec in records:
+                record_sink(rec)
+        total = total.merge(partial)
     return total
 
 

@@ -435,7 +435,7 @@ def count_H(n: int | Factorization, d: int) -> int:
         raise ValueError("need n >= 2 and d >= 1")
     n_d = n**d - 1
     result = 1
-    for p in fac.primes():
+    for p, _ in fac.factors:
         result *= math.gcd(p**d - 1, n_d)
     return result
 

@@ -195,9 +195,6 @@ class Factorization:
         if self.reconstruct() != self.n:
             raise ValueError(f"{self.factors} does not multiply to {self.n}")
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def reconstruct(self) -> int:
         return reduce(lambda acc, pe: acc * pe[0] ** pe[1], self.factors, 1)
 

@@ -10,7 +10,6 @@ its Factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,38 +53,6 @@ def _check_base(n: int, a: int) -> None:
         raise NotCoprime(f"gcd({a}, {n}) > 1")
 
 
-@dataclass(frozen=True)
-class MrParams:
-    """Shape parameters of n - 1 driving the Miller-Rabin count.
-
-    k, m:  n - 1 = 2**k * m with m odd
-    v:     min over p | n of the 2-adic valuation of p - 1
-    w:     number of distinct primes dividing n
-    s:     product over p | n of gcd(m, odd part of p - 1)
-    """
-
-    n: int
-    k: int
-    m: int
-    v: int
-    w: int
-    s: int
-
-
-def mr_params(n: int | Factorization) -> MrParams:
-    fac = _factored(n)
-    n = fac.n
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    k, m = two_adic_split(n - 1)
-    primes = fac.primes()
-    v = min(two_adic_split(p - 1)[0] for p in primes)
-    s = 1
-    for p in primes:
-        s *= math.gcd(m, two_adic_split(p - 1)[1])
-    return MrParams(n=n, k=k, m=m, v=v, w=len(primes), s=s)
-
-
 def count_F(n: int | Factorization) -> int:
     """Exact number of Fermat-passing bases: prod gcd(p-1, n-1)."""
     fac = _factored(n)
@@ -93,20 +60,32 @@ def count_F(n: int | Factorization) -> int:
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
     result = 1
-    for p in fac.primes():
+    for p, _ in fac.factors:
         result *= math.gcd(p - 1, n - 1)
     return result
 
 
 def count_MR(n: int | Factorization) -> int:
-    """Exact number of Miller-Rabin-passing bases for odd n >= 3.
+    """Exact number of Miller-Rabin-passing bases for odd n >= 3 (Monier).
 
-    (1 + (2**(v*w) - 1) / (2**w - 1)) * s, in exact integer arithmetic:
-    the fraction is the geometric sum 1 + 2**w + ... + 2**(w*(v-1)).
+    Write n - 1 = 2**k * m with m odd.  Over the w distinct primes
+    p | n, let v be the least 2-adic valuation of p - 1 and s the
+    product of gcd(m, odd part of p - 1).  The count is
+    (1 + (2**(v*w) - 1) / (2**w - 1)) * s, in exact integers: the
+    fraction is the geometric sum 1 + 2**w + ... + 2**(w*(v-1)).
     """
-    par = mr_params(n)
-    geometric = sum(1 << (par.w * i) for i in range(par.v))
-    return (1 + geometric) * par.s
+    fac = _factored(n)
+    n = fac.n
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    k, m = two_adic_split(n - 1)
+    v, s = k, 1  # v <= k: every p = 1 mod 2**v makes n = 1 mod 2**v
+    for p, _ in fac.factors:
+        e, odd = two_adic_split(p - 1)
+        v = min(v, e)
+        s *= math.gcd(m, odd)
+    w = len(fac.factors)
+    return (1 + ((1 << (v * w)) - 1) // ((1 << w) - 1)) * s
 
 
 def _vec_powmod(base: np.ndarray, exponent: int, n: int) -> np.ndarray:

@@ -40,8 +40,8 @@ def test_examine_full_record():
     rec = examine(35, 2, FixedEll(3))
     assert (rec.n, rec.composite) == (35, True)
     assert (rec.F, rec.MR, rec.Gal, rec.D, rec.H) == (4, 2, 36, 144, 576)
-    assert (rec.k_cofactor, rec.Str_r, rec.ell) == (1, 144, 3)
-    assert rec.skipped_reason is None
+    assert (rec.k, rec.Str, rec.ell) == (1, 144, 3)
+    assert rec.skip is None
     assert rec.covered
 
 
@@ -83,7 +83,7 @@ def test_examine_matches_the_public_counts(policy):
             galois.count_H(n, ell - 1),
             galois.cofactor_k(n, ell),
         )
-        assert (rec.Gal, rec.D, rec.H, rec.k_cofactor) == expected, (n, ell)
+        assert (rec.Gal, rec.D, rec.H, rec.k) == expected, (n, ell)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +119,6 @@ def test_counts_take_n_or_its_factorization():
         fac = numth.factorize(n)
         assert witness.count_F(fac) == witness.count_F(n)
         assert witness.count_MR(fac) == witness.count_MR(n)
-        assert witness.mr_params(fac) == witness.mr_params(n)
         assert witness.is_carmichael(fac) == witness.is_carmichael(n)
         for ell in (3, 5, 7, 11):
             assert galois.count_H(fac, ell - 1) == galois.count_H(n, ell - 1)
@@ -131,11 +130,11 @@ def test_counts_take_n_or_its_factorization():
 
 
 def test_examine_skip_reasons():
-    assert examine(121, 2, FixedEll(3)).skipped_reason == "perfect-power"
-    assert examine(9, 2, FixedEll(3)).skipped_reason == "perfect-power"
-    assert examine(3, 2, FixedEll(3)).skipped_reason == "not-coprime"
-    assert examine(7, 2, FixedEll(3)).skipped_reason == "not-primitive-root"
-    assert examine(7, 2, SmallestEll(3)).skipped_reason == "no-conductor"
+    assert examine(121, 2, FixedEll(3)).skip == "perfect-power"
+    assert examine(9, 2, FixedEll(3)).skip == "perfect-power"
+    assert examine(3, 2, FixedEll(3)).skip == "not-coprime"
+    assert examine(7, 2, FixedEll(3)).skip == "not-primitive-root"
+    assert examine(7, 2, SmallestEll(3)).skip == "no-conductor"
     # F and MR are always present, even for skipped n
     rec = examine(121, 2, FixedEll(3))
     assert (rec.F, rec.MR) == (10, 10)
@@ -149,7 +148,7 @@ def test_examine_smallest_policy_searches():
 
 def test_examine_prime_power():
     rec = examine(125, 2, FixedEll(3))
-    assert rec.covered and rec.Gal == 24 and rec.Str_r == 384
+    assert rec.covered and rec.Gal == 24 and rec.Str == 384
 
 
 # -- aggregation ------------------------------------------------------------
@@ -244,7 +243,7 @@ def test_sweep_records_roundtrip():
     recs = []
     sweep(99, 2, FixedEll(3), record_sink=recs.append)
     assert [r.n for r in recs] == list(range(3, 100, 2))
-    assert recs[0].skipped_reason == "not-coprime"
+    assert recs[0].skip == "not-coprime"
 
 
 # -- series constants -------------------------------------------------------

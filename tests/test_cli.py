@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from witnesslab import cli, product, witness
+from witnesslab import cli, galois, product, witness
 from witnesslab.galois import NoConductor
 
 EXPECTED_HEADER = "n,composite,F,MR,Gal,D,H,k,Str,ell,skip"
@@ -140,6 +141,10 @@ def test_count_rejects_bare_ell():
         ("test", "35", "--seed", str(2**128)),
         ("adversary", "--seed", str(10**41)),
         ("oracle-check", "--suite", "f", "--max", "-5"),
+        ("adversary", "--pool-bound", "-5"),
+        ("adversary", "--pool-bound", "1"),
+        ("adversary", "--q-limit", "-1"),
+        ("adversary", "--cutoff", "-1"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, args):
@@ -182,6 +187,30 @@ def test_sweep_json_matches_csv(tmp_path):
         assert int(c["n"]) == j["n"]
         assert c["Gal"] == ("" if j["Gal"] is None else str(j["Gal"]))
         assert c["skip"] == ("" if j["skip"] is None else j["skip"])
+
+
+# sha256 of the --out bytes of `sweep --max 10001`, and of its stdout
+# without the out= field: a change to any count, column or format shows.
+FROZEN_SWEEP_10001 = {
+    ("fixed:3", "csv"): "60f9a96e414a7d867d7c516ab8b84ec5ddb7bc5d527fb1b1a4a6039515364a3c",
+    ("fixed:3", "json"): "89b758a97a9419fe9ce1cae086803d63b99a23fa4d1214f854da8baa1f56db98",
+    ("smallest", "csv"): "cc425d500b9296bb8dc3f3e6afaad74e164496da21e3b5ccf7656ad928383ba9",
+    ("smallest", "json"): "40ddd955398a73f35d8091635ca9a7e222073085488008b90e6743c1fb3ed3cf",
+}
+FROZEN_SUMMARY_10001 = {
+    "fixed:3": "8f64403ed260f7db6d042a56d3a39ba066d13d541694a36cf2d8cd64b8c4ef92",
+    "smallest": "391c070149791f298cd33120d803019364511bdf949f6cb56234edb64ce2425e",
+}
+
+
+@pytest.mark.parametrize("ell,fmt", sorted(FROZEN_SWEEP_10001))
+def test_sweep_rows_frozen(tmp_path, capsys, ell, fmt):
+    out = tmp_path / f"rows.{fmt}"
+    argv = ["sweep", "--max", "10001", "--ell", ell, "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    summary = capsys.readouterr().out.replace(f" out={out}", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_SWEEP_10001[ell, fmt]
+    assert hashlib.sha256(summary.encode()).hexdigest() == FROZEN_SUMMARY_10001[ell]
 
 
 def test_sweep_smallest_policy_skips_bounds_table(tmp_path):
@@ -250,6 +279,22 @@ def test_oracle_check_past_brute_budget_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert len(_error_lines(captured.err)) == 1
     assert captured.out.splitlines()[-1].startswith("n=19 ")
+
+
+def test_oracle_check_gal_past_brute_budget_exits_1(monkeypatch, capsys):
+    """n = 1001 needs 1001**2 elements, past the budget; the run ends there."""
+    brute_Gal = galois.brute_Gal
+
+    def fast_below_budget(n, ell):
+        if n**2 <= galois._BRUTE_LIMIT:
+            return galois.count_Gal(n, ell)
+        return brute_Gal(n, ell)
+
+    monkeypatch.setattr(galois, "brute_Gal", fast_below_budget)
+    assert cli.main(["oracle-check", "--suite", "gal", "--max", "1001"]) == 1
+    captured = capsys.readouterr()
+    assert len(_error_lines(captured.err)) == 1
+    assert captured.out.splitlines()[-1].startswith("n=995 ")
 
 
 def test_test_no_conductor_exits_1(monkeypatch, capsys):

@@ -403,7 +403,7 @@ def test_local_data_invariants():
         for n in range(5, 2000, 2):
             if is_prime(n) or conductor_failure(n, ell) is not None:
                 continue
-            for p in factorize(n).primes():
+            for p, _ in factorize(n).factors:
                 loc = local_data(n, ell, p)
                 assert loc.f * loc.m == ell - 1
                 assert pow(n, loc.z * loc.m, ell) == p % ell

@@ -89,7 +89,7 @@ def test_factorize_calls_is_prime_only_above_the_trial_square(monkeypatch):
         calls.clear()
         fac = factorize(n)
         assert calls != []
-        assert fac.reconstruct() == n and all(is_prime(p) for p in fac.primes())
+        assert fac.reconstruct() == n and all(is_prime(p) for p, _ in fac.factors)
     assert factorize(10007**2).factors == ((10007, 2),)
 
 
@@ -98,7 +98,8 @@ def test_factorize_reconstructs():
         f = factorize(n)
         assert f.reconstruct() == n
         assert all(is_prime(p) for p, _ in f.factors)
-        assert list(f.primes()) == sorted(f.primes())
+        primes = [p for p, _ in f.factors]
+        assert primes == sorted(primes)
 
 
 def test_factorize_semiprime():
@@ -173,7 +174,7 @@ def test_factorize_matches_sympy():
 
 
 def test_factorization_must_reconstruct_n():
-    assert Factorization(35, ((5, 1), (7, 1))).primes() == (5, 7)
+    assert Factorization(35, ((5, 1), (7, 1))).factors == ((5, 1), (7, 1))
     with pytest.raises(ValueError):
         Factorization(35, ((5, 1),))
     with pytest.raises(ValueError):

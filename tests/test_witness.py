@@ -13,7 +13,6 @@ from witnesslab.witness import (
     count_MR,
     fermat_witness,
     is_carmichael,
-    mr_params,
     mr_witness,
 )
 
@@ -59,9 +58,8 @@ def test_witness_predicates_reject_bad_bases():
     ],
 )
 def test_mr_params(n, k, m, v, w, s):
-    par = mr_params(n)
-    assert (par.k, par.m, par.v, par.w, par.s) == (k, m, v, w, s)
-    assert 2**par.k * par.m == n - 1
+    assert 2**k * m == n - 1 and m % 2 == 1
+    assert count_MR(n) == (1 + sum(2 ** (w * i) for i in range(v))) * s
 
 
 @pytest.mark.parametrize(
