@@ -1,17 +1,17 @@
 """Range sweeps, series constants, adversarial inputs, bound reports.
 
 The sweep walks odd n up to a bound, records every exact count the
-other modules provide, and reduces them into an aggregate whose merge
-is associative.  Partial aggregates are always produced over fixed
-chunks and merged in chunk order, so the result is bit-identical no
-matter how many workers computed the chunks.
+other modules provide, and reduces them into an aggregate of integers
+(the log sums in fixed point), so the aggregate is the same for any
+split of the range and any worker count.  Chunk order only orders the
+records handed to the sink.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,7 +34,7 @@ from .numth import (
 )
 from .rng import CounterRng
 
-# Fixed chunk width (in odd integers) for the deterministic reduction.
+# Chunk width in odd integers: the unit of work handed to a worker.
 _CHUNK_ODDS = 2000
 
 
@@ -82,45 +82,31 @@ class SweepRecord(NamedTuple):
         return self.skip is None
 
 
-class _CompensatedSum:
-    """Neumaier-compensated float accumulator with ordered merge."""
+# A log sum is held exactly as a count of 2**-53 units.  Each addend is
+# log of a positive integer (or rounds times one), so it is 0.0 or at
+# least log 2 > 1/2, and a float of that size is a whole number of units.
+_LOG_UNIT = 2**53
 
-    __slots__ = ("total", "correction")
 
-    def __init__(self, total: float = 0.0, correction: float = 0.0):
-        self.total = total
-        self.correction = correction
-
-    def add(self, value: float) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.correction += (self.total - t) + value
-        else:
-            self.correction += (value - t) + self.total
-        self.total = t
-
-    def merge(self, other: "_CompensatedSum") -> None:
-        self.add(other.total)
-        self.add(other.correction)
-
-    def value(self) -> float:
-        return self.total + self.correction
-
-    def copy(self) -> "_CompensatedSum":
-        return _CompensatedSum(self.total, self.correction)
-
-    def __repr__(self):
-        return f"_CompensatedSum({self.value()!r})"
+def _log_units(v: float) -> int:
+    """v as an exact integer count of 2**-53 units; ValueError if it is not one."""
+    scaled = v * _LOG_UNIT
+    if not scaled.is_integer():
+        raise ValueError(f"{v!r} is not a whole number of 2**-53 units")
+    return int(scaled)
 
 
 @dataclass
 class SweepAggregate:
-    """Associative reduction of sweep records for a fixed round count.
+    """Exact reduction of sweep records for a fixed round count.
 
+    Every field is an int, so merge is fieldwise addition (x takes the
+    maximum) and the aggregate is the same for any split of the range.
     Integer sums run over composites only (the primed sums of the mean
     bounds); Gal and Str additionally need the conductor, so they run
     over covered composites.  The log sums feed geometric means: F and
-    MR**r accumulate over every visited n, H over covered n.
+    MR**r accumulate over every visited n, H over covered n, each in
+    units of 2**-53 (see _log_units).
     """
 
     rounds: int = 0
@@ -134,22 +120,22 @@ class SweepAggregate:
     sum_MR_r: int = 0
     sum_Gal: int = 0
     sum_Str: int = 0
-    sum_log_F: _CompensatedSum = field(default_factory=_CompensatedSum)
-    sum_log_MR_r: _CompensatedSum = field(default_factory=_CompensatedSum)
-    sum_log_H: _CompensatedSum = field(default_factory=_CompensatedSum)
+    sum_log_F: int = 0
+    sum_log_MR_r: int = 0
+    sum_log_H: int = 0
 
     def add_record(self, rec: SweepRecord) -> None:
         self.x = max(self.x, rec.n)
         self.count_visited += 1
-        self.sum_log_F.add(math.log(rec.F))
-        self.sum_log_MR_r.add(self.rounds * math.log(rec.MR))
+        self.sum_log_F += _log_units(math.log(rec.F))
+        self.sum_log_MR_r += _log_units(self.rounds * math.log(rec.MR))
         if rec.composite:
             self.count_composite += 1
             self.sum_F += rec.F
             self.sum_MR_r += rec.MR**self.rounds
         if rec.covered:
             self.count_covered += 1
-            self.sum_log_H.add(math.log(rec.H))
+            self.sum_log_H += _log_units(math.log(rec.H))
             if rec.composite:
                 self.count_covered_composite += 1
                 self.sum_Gal += rec.Gal
@@ -160,17 +146,26 @@ class SweepAggregate:
     def merge(self, other: "SweepAggregate") -> "SweepAggregate":
         if self.rounds != other.rounds:
             raise ValueError("cannot merge aggregates with different round counts")
-        merged = {}
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if f.name in ("rounds", "x"):  # rounds are equal, checked above
-                merged[f.name] = max(mine, theirs)
-            elif isinstance(mine, _CompensatedSum):
-                merged[f.name] = mine.copy()
-                merged[f.name].merge(theirs)
-            else:
-                merged[f.name] = mine + theirs
+        merged = {f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        merged["rounds"] = self.rounds
+        merged["x"] = max(self.x, other.x)
         return SweepAggregate(**merged)
+
+    def summary(self) -> dict[str, int | float]:
+        """The summary line's key -> value mapping, in field order.
+
+        rounds is left out and the count_ prefix dropped; each log sum
+        is given as units / 2**53, the correctly rounded exact sum.
+        """
+        out = {}
+        for f in fields(self):
+            if f.name == "rounds":
+                continue
+            value = getattr(self, f.name)
+            if f.name.startswith("sum_log_"):
+                value /= _LOG_UNIT
+            out[f.name.removeprefix("count_")] = value
+        return out
 
 
 def examine(n: int, r: int, policy) -> SweepRecord:
@@ -239,9 +234,9 @@ def sweep(
     """Visit every odd n in [3, x_max] and reduce the records.
 
     record_sink, when given, receives each SweepRecord in increasing
-    order of n regardless of worker scheduling.  The returned aggregate
-    is computed by merging fixed-size chunk aggregates in chunk order,
-    so it is identical for any worker count.
+    order of n regardless of worker scheduling, which is why chunks are
+    consumed in order.  The aggregate's sums are exact, so it does not
+    depend on the chunking or the worker count.
     """
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
@@ -259,7 +254,7 @@ def sweep(
 
 
 def _reduce(results, r: int, record_sink) -> SweepAggregate:
-    """Merge chunk results in chunk order, feeding each record to the sink."""
+    """Merge chunk results, feeding each chunk's records to the sink in order."""
     total = SweepAggregate(rounds=r)
     for records, partial in results:
         if record_sink is not None:
@@ -321,8 +316,8 @@ class AdversarialConfig:
     """Knobs for constructing n = s*q with a guaranteed witness floor.
 
     M should be a highly divisible modulus (lcm_range works well); the
-    pool collects primes p with cutoff < p <= prime_bound, p-1 | M and
-    p not dividing M.
+    pool collects odd primes p with cutoff < p <= prime_bound, p-1 | M
+    and p not dividing M.
     """
 
     M: int = lcm_range(12)
@@ -343,13 +338,14 @@ class AdversarialOutcome:
 
 
 def adversarial_pool(cfg: AdversarialConfig) -> tuple[int, ...]:
-    """Primes p with cutoff < p <= prime_bound, p - 1 dividing M and p not.
+    """Odd primes p with cutoff < p <= prime_bound, p - 1 dividing M and p not.
 
-    A pool prime dividing M would leave s without an inverse mod M.
+    A pool prime dividing M would leave s without an inverse mod M, and
+    p = 2 would make n = s*q even.
     """
     return tuple(
         p
-        for p in primes_up_to(cfg.prime_bound)
+        for p in primes_up_to(cfg.prime_bound)[1:]  # odd primes
         if p > cfg.cutoff and cfg.M % (p - 1) == 0 and cfg.M % p != 0
     )
 
@@ -480,6 +476,7 @@ def compare_bounds(
     x = float(agg.x)
     if x < 3:
         raise ValueError("aggregate is empty")
+    summary = agg.summary()
     lx = L_of(x)
     loglog = math.log(math.log(x))
     c1_val, _ = eval_c1(series_bound)
@@ -529,21 +526,21 @@ def compare_bounds(
         ),
         BoundsRow(
             "mr-geometric-slope",
-            2.0 * agg.sum_log_MR_r.value() / x,
+            2.0 * summary["sum_log_MR_r"] / x,
             r * (c1_val - 2.0 * math.log(2.0) / 3.0) * loglog,
             "slope term only; constant multiplier stays symbolic",
         ),
         BoundsRow(
             "h-geometric-slope",
-            agg.sum_log_H.value() / x,
+            summary["sum_log_H"] / x,
             c3_val * loglog,
             "additive O(d^4) term omitted; covered n only",
         ),
     )
     coverage = (
-        f"coverage: {agg.count_visited} odd n visited, "
-        f"{agg.count_composite} composite, "
-        f"{agg.count_covered_composite} composite with conductor data, "
-        f"{agg.count_skipped} skipped"
+        f"coverage: {summary['visited']} odd n visited, "
+        f"{summary['composite']} composite, "
+        f"{summary['covered_composite']} composite with conductor data, "
+        f"{summary['skipped']} skipped"
     )
     return BoundsReport(x=agg.x, d=d, rounds=r, rows=rows, coverage_note=coverage)

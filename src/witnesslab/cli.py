@@ -75,7 +75,10 @@ _seed.__name__ = "int"
 
 def _parse_modulus(text: str) -> int:
     if text.startswith("lcm:"):
-        return lcm_range(int(text.split(":", 1)[1]))
+        try:
+            return lcm_range(int(text.split(":", 1)[1]))
+        except BudgetExceeded as exc:  # a RuntimeError, which argparse lets through
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return _int_at_least(1)(text)
 
 
@@ -156,22 +159,7 @@ def cmd_sweep(args) -> int:
         agg = analysis.sweep(
             args.max, args.rounds, args.ell, workers=args.workers, record_sink=sink
         )
-    _emit(
-        x=agg.x,
-        visited=agg.count_visited,
-        composite=agg.count_composite,
-        covered=agg.count_covered,
-        covered_composite=agg.count_covered_composite,
-        skipped=agg.count_skipped,
-        sum_F=agg.sum_F,
-        sum_MR_r=agg.sum_MR_r,
-        sum_Gal=agg.sum_Gal,
-        sum_Str=agg.sum_Str,
-        sum_log_F=repr(agg.sum_log_F.value()),
-        sum_log_MR_r=repr(agg.sum_log_MR_r.value()),
-        sum_log_H=repr(agg.sum_log_H.value()),
-        out=args.out,
-    )
+    _emit(**agg.summary(), out=args.out)
     if isinstance(args.ell, FixedEll):
         report = analysis.compare_bounds(agg, args.ell.ell - 1, args.rounds)
         for line in report.render():

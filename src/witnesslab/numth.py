@@ -1,10 +1,14 @@
 """Elementary number-theoretic utilities.
 
-Everything here works on plain Python integers.  Factorization is meant
-for desk-scale inputs (up to about 10**12): trial division by a cached
-prime table, then Pollard rho splitting.  Trial division proves prime
-any factor below p**2, p the last trial prime reached; is_prime
-certifies the larger ones.
+Everything here works on plain Python integers.  Factorization is
+trial division by a cached prime table, then Pollard rho splitting
+under a budget of _RHO_BUDGET rho updates per call.  Rho needs about
+sqrt(p) updates to split off a prime p, so an n whose second-largest
+prime factor has up to about 40 bits fits (psi_13, two 41-bit primes,
+takes 1.8 million updates); larger ones raise BudgetExceeded instead
+of running for hours.  Trial division proves prime any factor below
+p**2, p the last trial prime reached; is_prime certifies the larger
+ones.
 """
 
 from __future__ import annotations
@@ -141,29 +145,45 @@ def _strong_lucas(n: int) -> bool:
 
 
 _RHO_BATCH = 128
+# Updates y -> y**2 + c allowed in one factorize call, over every rho
+# run it makes (all c values and replays included).
+_RHO_BUDGET = 2**22
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant).
+def _pollard_rho(n: int, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite n (Brent's cycle variant), and
+    the number of updates of y it took.
 
     y iterates y -> y**2 + c.  For r = 1, 2, 4, ..., x saves y, y skips
     r steps, then takes r more, each compared with x: the |x - y| are
     multiplied mod n in batches of _RHO_BATCH under one gcd.  A batch
     whose gcd is n is replayed one step at a time from its start to find
-    the first nontrivial gcd.
+    the first nontrivial gcd.  Raises BudgetExceeded before the updates
+    would exceed budget.
     """
     if n % 2 == 0:
-        return 2
+        return 2, 0
+    used = 0
+
+    def spend(steps: int) -> None:
+        nonlocal used
+        used += steps
+        if used > budget:
+            raise BudgetExceeded(f"rho budget of {_RHO_BUDGET} steps exceeded splitting {n}")
+
     for c in range(1, 100):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 start = y
-                for _ in range(min(_RHO_BATCH, r - k)):
+                steps = min(_RHO_BATCH, r - k)
+                spend(steps)
+                for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
@@ -172,10 +192,11 @@ def _pollard_rho(n: int) -> int:
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 start = (start * start + c) % n
                 g = math.gcd(abs(x - start), n)
         if g != n:
-            return g
+            return g, used
     raise ArithmeticError(f"rho failed to split {n}")
 
 
@@ -200,7 +221,11 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Full prime factorization of n >= 1."""
+    """Full prime factorization of n >= 1.
+
+    Raises BudgetExceeded when splitting the cofactors left by trial
+    division needs more than _RHO_BUDGET rho updates in all.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     remaining = n
@@ -214,6 +239,7 @@ def factorize(n: int) -> Factorization:
     # What is left, and every factor of it, has no prime factor below the
     # last trial prime p reached, so each such m < p*p is a prime.
     stack = [remaining] if remaining > 1 else []
+    budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
         if m < p * p or is_prime(m):
@@ -223,7 +249,8 @@ def factorize(n: int) -> Factorization:
         if root * root == m:
             stack.extend((root, root))
             continue
-        d = _pollard_rho(m)
+        d, used = _pollard_rho(m, budget)
+        budget -= used
         stack.extend((d, m // d))
     return Factorization(n, tuple(sorted(counts.items())))
 
@@ -297,10 +324,25 @@ def unity_root_count(s: int, d: int) -> int:
 
 
 def lcm_range(bound: int) -> int:
-    """lcm(1, 2, ..., bound)."""
+    """lcm(1, 2, ..., bound): the product of the largest power of each
+    prime p <= bound that is <= bound.
+
+    The powers are multiplied as a balanced product tree, so the large
+    products are few and of equal size: quasi-linear in bound, where
+    folding lcm over 2..bound is quadratic.  Raises BudgetExceeded above
+    the sieve cap.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    return reduce(math.lcm, range(2, bound + 1), 1)
+    level = []
+    for p in primes_up_to(bound):
+        power = p
+        while power * p <= bound:
+            power *= p
+        level.append(power)
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
 
 
 # exp(e) twice-iterated: below this x the exponent in L_of is negative.

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from witnesslab import galois, numth, product, witness
+from witnesslab import analysis, galois, numth, product, witness
 from witnesslab.analysis import (
     AdversarialConfig,
     BoundsReport,
@@ -169,7 +169,7 @@ def test_sweep_matches_manual_aggregate():
     assert agg.sum_Str == manual.sum_Str
     assert agg.count_composite == manual.count_composite == 332
     assert agg.count_covered_composite == 80
-    assert agg.sum_log_F.value() == manual.sum_log_F.value()
+    assert agg == manual
 
 
 def aggregate_fields(agg, kind):
@@ -182,18 +182,41 @@ def test_merge_is_exact_for_integers():
     whole = build_agg(3, 2999)
     parts = build_agg(3, 999).merge(build_agg(1001, 1999)).merge(build_agg(2001, 2999))
     ints = aggregate_fields(whole, int)
-    assert len(ints) == 11
+    assert len(ints) == len(dataclasses.fields(whole)) == 14
     for name, value in ints:
         assert getattr(parts, name) == value, name
 
 
 def test_merge_log_sums_are_stable():
     whole = build_agg(3, 2999)
-    parts = build_agg(3, 999).merge(build_agg(1001, 1999)).merge(build_agg(2001, 2999))
-    sums = aggregate_fields(whole, type(whole.sum_log_F))
-    assert len(sums) == 3
-    for name, value in sums:
-        assert getattr(parts, name).value() == pytest.approx(value.value(), rel=1e-10), name
+    parts = build_agg(2001, 2999).merge(build_agg(3, 999)).merge(build_agg(1001, 1999))
+    for name in ("sum_log_F", "sum_log_MR_r", "sum_log_H"):
+        assert getattr(parts, name) == getattr(whole, name) > 0, name
+        assert parts.summary()[name] == whole.summary()[name], name
+
+
+@pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()], ids=["fixed3", "smallest"])
+def test_summary_log_sums_are_the_exact_sums_of_the_rows(policy):
+    rows = []
+    summary = sweep(10001, 2, policy, record_sink=rows.append).summary()
+    covered = [rec for rec in rows if rec.covered]
+    assert summary["sum_log_F"] == math.fsum(math.log(rec.F) for rec in rows)
+    assert summary["sum_log_MR_r"] == math.fsum(2 * math.log(rec.MR) for rec in rows)
+    assert summary["sum_log_H"] == math.fsum(math.log(rec.H) for rec in covered)
+
+
+def test_aggregate_does_not_depend_on_the_chunk_width(monkeypatch):
+    default = sweep(5001, 2, FixedEll(3))
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 7)
+    assert len(analysis._chunk_ranges(5001)) == 358
+    assert sweep(5001, 2, FixedEll(3)) == default
+
+
+def test_log_units_refuse_a_value_that_would_truncate():
+    assert analysis._log_units(0.0) == 0
+    assert analysis._log_units(math.log(2)) / 2**53 == math.log(2)
+    with pytest.raises(ValueError):
+        analysis._log_units(0.1)
 
 
 def test_merge_rejects_mixed_rounds():
@@ -207,9 +230,10 @@ def test_sweep_worker_count_is_invisible():
     parallel = sweep(5001, 2, FixedEll(3), workers=3)
     assert serial.sum_F == parallel.sum_F
     assert serial.sum_Str == parallel.sum_Str
-    assert serial.sum_log_F.value() == parallel.sum_log_F.value()
-    assert serial.sum_log_MR_r.value() == parallel.sum_log_MR_r.value()
-    assert serial.sum_log_H.value() == parallel.sum_log_H.value()
+    assert serial.sum_log_F == parallel.sum_log_F
+    assert serial.sum_log_MR_r == parallel.sum_log_MR_r
+    assert serial.sum_log_H == parallel.sum_log_H
+    assert serial == parallel
 
 
 def test_sweep_record_sink_order():
@@ -312,6 +336,14 @@ def test_adversarial_pool_m60():
 def test_adversarial_pool_respects_cutoff_and_bound():
     cfg = AdversarialConfig(M=60, prime_bound=30, cutoff=10)
     assert adversarial_pool(cfg) == (11, 13)
+
+
+def test_adversarial_pool_has_only_odd_primes():
+    # 2 - 1 divides every M, and an odd M leaves 2 prime to M
+    assert adversarial_pool(AdversarialConfig(M=3, cutoff=0)) == ()
+    assert adversarial_pool(AdversarialConfig(M=60, cutoff=0)) == (7, 11, 13, 31, 61)
+    with pytest.raises(ValueError, match="smaller than k=1"):
+        adversarial_generate(AdversarialConfig(M=3, cutoff=0, k=1), rng=0)
 
 
 def test_adversarial_subset_forcing():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from witnesslab import cli, galois, product, witness
+from witnesslab import cli, galois, numth, product, witness
 from witnesslab.galois import NoConductor
 
 EXPECTED_HEADER = "n,composite,F,MR,Gal,D,H,k,Str,ell,skip"
@@ -145,6 +145,7 @@ def test_count_rejects_bare_ell():
         ("adversary", "--pool-bound", "1"),
         ("adversary", "--q-limit", "-1"),
         ("adversary", "--cutoff", "-1"),
+        ("adversary", "--M", "lcm:200000000"),
     ],
 )
 def test_bad_arguments_exit_2(tmp_path, args):
@@ -305,6 +306,23 @@ def test_test_no_conductor_exits_1(monkeypatch, capsys):
     assert cli.main(["test", "341"]) == 1
     captured = capsys.readouterr()
     assert _error_lines(captured.err) == ["error: no conductor for 341"]
+    assert captured.out == ""
+
+
+def test_count_past_the_rho_budget_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(numth, "_RHO_BUDGET", 64)
+    assert cli.main(["count", str(999_979 * 999_983)]) == 1
+    captured = capsys.readouterr()
+    assert len(_error_lines(captured.err)) == 1
+    assert "rho budget" in captured.err
+    assert captured.out == ""
+
+
+def test_adversary_with_odd_modulus_never_emits_even_n(capsys):
+    """With M odd and cutoff < 2, p = 2 passes 1 | M and 2 does not divide M."""
+    assert cli.main(["adversary", "--M", "3", "--cutoff", "0", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert _error_lines(captured.err) == ["error: pool () smaller than k=1"]
     assert captured.out == ""
 
 

@@ -131,6 +131,28 @@ def test_factorize_psi_13():
     assert factorize(PSI_13).factors == ((1287836182261, 1), (2575672364521, 1))
 
 
+def test_factorize_raises_past_the_rho_budget(monkeypatch):
+    # 999_979 * 999_983 takes a few hundred rho updates, so 64 is too few
+    monkeypatch.setattr(numth, "_RHO_BUDGET", 64)
+    with pytest.raises(BudgetExceeded):
+        factorize(999_979 * 999_983)
+    assert factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))  # no rho
+
+
+def test_rho_budget_spans_every_split_of_one_factorize_call(monkeypatch):
+    n = 999_979 * 999_983 * 1_000_003
+    first, used_first = numth._pollard_rho(n, numth._RHO_BUDGET)
+    rest = first if not is_prime(first) else n // first
+    _, used_rest = numth._pollard_rho(rest, numth._RHO_BUDGET)
+    # each split alone fits in the sum less one; both together do not
+    monkeypatch.setattr(numth, "_RHO_BUDGET", used_first + used_rest - 1)
+    assert max(used_first, used_rest) <= numth._RHO_BUDGET
+    with pytest.raises(BudgetExceeded):
+        factorize(n)
+    monkeypatch.setattr(numth, "_RHO_BUDGET", used_first + used_rest)
+    assert factorize(n).reconstruct() == n
+
+
 @pytest.mark.parametrize("e", [89, 127, 521, 607])
 def test_is_prime_mersenne_primes(e):
     assert is_prime(2**e - 1)
@@ -265,6 +287,20 @@ def test_lcm_range():
     assert lcm_range(6) == 60
     assert lcm_range(10) == 2520
     assert lcm_range(12) == 27720
+
+
+def test_lcm_range_matches_the_lcm_fold():
+    fold = 1
+    for bound in range(1, 301):
+        fold = math.lcm(fold, bound)
+        assert lcm_range(bound) == fold, bound
+
+
+def test_lcm_range_stops_at_the_sieve_cap():
+    with pytest.raises(BudgetExceeded):
+        lcm_range(2 * 10**8)
+    with pytest.raises(ValueError):
+        lcm_range(0)
 
 
 def test_L_of_clamps_small_arguments():
