@@ -4,16 +4,23 @@ The sweep walks odd n up to a bound, records every exact count the
 other modules provide, and reduces them into an aggregate of integers
 (the log sums in fixed point), so the aggregate is the same for any
 split of the range and any worker count.  Chunk order only orders the
-records handed to the sink.
+records handed to the sink.  A chunk holds its records as columns:
+fixed:3 chunks below the int64 bound come from the block engine
+(_block_columns), every other chunk from examine, and both are reduced
+and rendered by the same two functions.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
+
+import numpy as np
 
 from . import witness
 from .galois import (
@@ -23,6 +30,7 @@ from .galois import (
     count_H,
     find_conductor,
     NoConductor,
+    NonIntegral,
 )
 from .numth import (
     _unity_roots_prime_power,
@@ -48,12 +56,20 @@ class FixedEll:
 
     ell: int
 
+    def __post_init__(self):
+        if self.ell < 3 or not is_prime(self.ell):
+            raise ValueError(f"conductor must be an odd prime, got {self.ell}")
+
 
 @dataclass(frozen=True)
 class SmallestEll:
     """Search the smallest valid conductor per n, up to ell_max."""
 
     ell_max: int = DEFAULT_ELL_MAX
+
+    def __post_init__(self):
+        if self.ell_max < 3:
+            raise ValueError(f"ell_max must be >= 3, got {self.ell_max}")
 
 
 class SweepRecord(NamedTuple):
@@ -82,6 +98,12 @@ class SweepRecord(NamedTuple):
         return self.skip is None
 
 
+CSV_HEADER = ",".join(SweepRecord._fields) + "\n"
+
+# A chunk's rows in column form: one sequence per SweepRecord field.
+_Columns = namedtuple("_Columns", SweepRecord._fields)
+
+
 # A log sum is held exactly as a count of 2**-53 units.  Each addend is
 # log of a positive integer (or rounds times one), so it is 0.0 or at
 # least log 2 > 1/2, and a float of that size is a whole number of units.
@@ -94,6 +116,14 @@ def _log_units(v: float) -> int:
     if not scaled.is_integer():
         raise ValueError(f"{v!r} is not a whole number of 2**-53 units")
     return int(scaled)
+
+
+def _log_units_sum(values, scale: int = 1) -> int:
+    """Sum of _log_units(scale * math.log(v)) over values, in one pass."""
+    units = np.fromiter(map(math.log, values), dtype=np.float64) * scale * _LOG_UNIT
+    if not (np.isfinite(units).all() and (units == np.trunc(units)).all()):
+        raise ValueError("a log sum addend is not a whole number of 2**-53 units")
+    return sum(map(int, units.tolist()))
 
 
 @dataclass
@@ -207,21 +237,198 @@ def examine(n: int, r: int, policy) -> SweepRecord:
     )
 
 
+# The block engine serves FixedEll(3) while every n of a chunk is at most
+# isqrt(2**63 - 1), so that each of its int64 columns stays below
+# n**2 < 2**63.  Every other chunk is built from examine.
+_BLOCK_POLICY = FixedEll(3)
+_BLOCK_MAX_N = math.isqrt(2**63 - 1)
+
+
 def _chunk_ranges(x_max: int) -> list[tuple[int, int]]:
     """Half-open odd ranges [start, stop) covering 3..x_max."""
     span = 2 * _CHUNK_ODDS
     return [(start, min(start + span, x_max + 1)) for start in range(3, x_max + 1, span)]
 
 
-def _process_chunk(args: tuple) -> tuple[list[SweepRecord], SweepAggregate]:
-    start, stop, r, policy = args
-    records = []
-    agg = SweepAggregate(rounds=r)
-    for n in range(start, stop, 2):
-        rec = examine(n, r, policy)
-        records.append(rec)
-        agg.add_record(rec)
-    return records, agg
+def _chunk_columns(start: int, stop: int, r: int, policy) -> _Columns:
+    """The records of the odd n in [start, stop), as columns."""
+    if policy == _BLOCK_POLICY and stop - 1 <= _BLOCK_MAX_N:
+        return _block_columns(start, stop, r)
+    return _Columns._make(zip(*(examine(n, r, policy) for n in range(start, stop, 2))))
+
+
+def _two_adic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, odd) with x = 2**v * odd, elementwise for positive int64 x."""
+    low = x & -x
+    return np.frexp(low)[1] - 1, x // low
+
+
+def _split_off(n: np.ndarray, extracted: np.ndarray) -> np.ndarray:
+    """n // extracted, checking that the extracted prime powers divide n."""
+    cofactor = n // extracted
+    if (cofactor * extracted != n).any():
+        raise ValueError("sieved prime powers do not multiply to n")
+    return cofactor
+
+
+def _exact_quotient(numerator: np.ndarray, divisor: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """numerator // divisor, checking that the division is exact where it is used."""
+    quotient, remainder = np.divmod(numerator, divisor)
+    if remainder[where].any():
+        raise NonIntegral("cofactor_k numerator not divisible by count_D")
+    return quotient
+
+
+def _block_columns(start: int, stop: int, r: int) -> _Columns:
+    """The FixedEll(3) records of the odd n in [start, stop), from int64 columns.
+
+    These are examine's closed forms, taken over (row, prime) pairs
+    instead of one n at a time.  The odd primes up to isqrt(stop - 1)
+    sieve the block, and what is left of each n is 1 or a prime, which
+    adds one more pair.  Each count is then a product (v a minimum) of
+    local terms over the pairs of its row.  With ell = 3 a prime p has
+    residue degree f = 1 when p = 1 (mod 3) and f = 2 when p = 2, so its
+    Galois term is gcd(n**2 - 1, p - 1) or gcd(n - p, p**2 - 1).
+    """
+    n = np.arange(start, stop, 2, dtype=np.int64)
+    size = len(n)
+    primes = np.array(primes_up_to(math.isqrt(stop - 1))[1:], dtype=np.int64)
+    # Row of the first odd multiple of p: start + 2*i = 0 (mod p).
+    first = (-start % primes) * ((primes + 1) // 2) % primes
+    hits = np.where(first < size, (size - 1 - first) // primes + 1, 0)
+    p = np.repeat(primes, hits)
+    rows = np.repeat(first, hits) + p * (np.arange(len(p)) - np.repeat(np.cumsum(hits) - hits, hits))
+    e = np.ones_like(p)
+    q = n[rows] // p
+    more = q % p == 0
+    while more.any():
+        e += more
+        q = np.where(more, q // p, q)
+        more &= q % p == 0
+    extracted = np.ones_like(n)
+    np.multiply.at(extracted, rows, p**e)
+    cofactor = _split_off(n, extracted)  # 1 or a prime above the sieving primes
+    last = np.flatnonzero(cofactor > 1)
+    order = np.argsort(np.concatenate((rows, last)), kind="stable")
+    # One (row, p, e) per prime power p**e of each n, grouped by row.
+    rows = np.concatenate((rows, last))[order]
+    p = np.concatenate((p, cofactor[last]))[order]
+    e = np.concatenate((e, np.ones_like(last)))[order]
+    w = np.bincount(rows, minlength=size)
+    starts = np.cumsum(w) - w
+
+    def product(terms):
+        return np.multiply.reduceat(terms, starts)
+
+    n_pair = n[rows]
+    n2_1 = n_pair * n_pair - 1
+    p_1 = p - 1
+    p2_1 = p * p - 1
+    split = p % 3 == 1  # f = 1
+    pf_1 = np.where(split, p_1, p2_1)  # p**f - 1
+    # count_MR: v is the least 2-adic valuation of p - 1 (never above that
+    # of n - 1, since n = 1 mod 2**v), s the product of gcd(m, odd part).
+    v_p, odd_p = _two_adic(p_1)
+    m_n = _two_adic(n - 1)[1]
+    v = np.minimum.reduceat(v_p, starts)
+    MR = (((1 << (v * w)) - 1) // ((1 << w) - 1) + 1) * product(np.gcd(m_n[rows], odd_p))
+    # _conductor_counts at ell = 3.
+    gal = product(np.where(split, np.gcd(n2_1, p_1), np.gcd(n_pair - p, p2_1)))
+    relaxed = product(np.gcd(pf_1, n2_1))
+    tags = [conductor_failure(residue, 3) for residue in range(3)] + ["perfect-power"]
+    square = np.add.reduceat(e & 1, starts) == 0
+    tag_index = np.where(square, 3, n % 3)
+    covered = tag_index == tags.index(None)
+    k = _exact_quotient(product(pf_1), relaxed, covered)
+
+    def masked(col):
+        return np.where(covered, col, None).tolist()
+
+    mr, gal_list = MR.tolist(), gal.tolist()
+    return _Columns(
+        n=n.tolist(),
+        composite=(np.add.reduceat(e, starts) > 1).tolist(),
+        F=product(np.gcd(p_1, n_pair - 1)).tolist(),
+        MR=mr,
+        Gal=masked(gal),
+        D=masked(relaxed),
+        H=masked(product(np.gcd(p2_1, n2_1))),
+        k=masked(k),
+        Str=[m**r * g if c else None for m, g, c in zip(mr, gal_list, covered.tolist())],
+        ell=masked(3),
+        skip=np.array(tags, dtype=object)[tag_index].tolist(),
+    )
+
+
+def _aggregate(cols: _Columns, r: int) -> SweepAggregate:
+    """add_record folded over the rows of cols, a column at a time."""
+    covered = [skip is None for skip in cols.skip]
+    covered_composite = [c and comp for c, comp in zip(covered, cols.composite)]
+    count_covered = sum(covered)
+    return SweepAggregate(
+        rounds=r,
+        x=max(cols.n),
+        count_visited=len(cols.n),
+        count_composite=sum(cols.composite),
+        count_covered=count_covered,
+        count_covered_composite=sum(covered_composite),
+        count_skipped=len(cols.n) - count_covered,
+        sum_F=sum(compress(cols.F, cols.composite)),
+        sum_MR_r=sum(mr**r for mr in compress(cols.MR, cols.composite)),
+        sum_Gal=sum(compress(cols.Gal, covered_composite)),
+        sum_Str=sum(compress(cols.Str, covered_composite)),
+        sum_log_F=_log_units_sum(cols.F),
+        sum_log_MR_r=_log_units_sum(cols.MR, r),
+        sum_log_H=_log_units_sum(compress(cols.H, covered)),
+    )
+
+
+_ROW_TEMPLATES = {
+    "csv": ",".join(["%s"] * len(SweepRecord._fields)) + "\n",
+    "json": "{" + ",".join(f'"{name}":%s' for name in SweepRecord._fields) + "}\n",
+}
+
+
+def _render(cols: _Columns, row_format: str) -> str:
+    """The rows of cols as text lines: "csv" or "json".
+
+    A CSV line is what csv.writer writes for the record with booleans
+    as 1/0 and None as an empty cell; a JSON line is the record's
+    json.dumps with separators (",", ":").  Skip tags are plain words,
+    so neither format needs quoting or escapes.
+    """
+    as_csv = row_format == "csv"
+    null = "" if as_csv else "null"
+    truth = ("0", "1") if as_csv else ("false", "true")
+    n, composite, *counts, skip = cols
+    cells = [
+        map(str, n),
+        [truth[c] for c in composite],
+        *([null if v is None else str(v) for v in col] for col in counts),
+        [null if tag is None else tag if as_csv else f'"{tag}"' for tag in skip],
+    ]
+    return "".join(map(_ROW_TEMPLATES[row_format].__mod__, zip(*cells)))
+
+
+def render_records(records, row_format: str = "csv") -> str:
+    """SweepRecords as the text lines a sweep writes ("csv" or "json")."""
+    return _render(_Columns._make(zip(*records)), row_format)
+
+
+def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
+    """(sink items, aggregate) for one chunk.
+
+    The sink items are the chunk's SweepRecords when row_format is None,
+    and otherwise its rows as one rendered text, formatted in the
+    process that computed them.
+    """
+    start, stop, r, policy, row_format = args
+    cols = _chunk_columns(start, stop, r, policy)
+    if row_format is None:
+        items = list(map(SweepRecord._make, zip(*cols)))
+    else:
+        items = [_render(cols, row_format)]
+    return items, _aggregate(cols, r)
 
 
 def sweep(
@@ -230,13 +437,17 @@ def sweep(
     policy=FixedEll(3),
     workers: int = 1,
     record_sink=None,
+    row_format: str | None = None,
 ) -> SweepAggregate:
     """Visit every odd n in [3, x_max] and reduce the records.
 
-    record_sink, when given, receives each SweepRecord in increasing
-    order of n regardless of worker scheduling, which is why chunks are
-    consumed in order.  The aggregate's sums are exact, so it does not
-    depend on the chunking or the worker count.
+    record_sink, when given, receives the rows in increasing order of n
+    regardless of worker scheduling, which is why chunks are consumed in
+    order.  With row_format None it gets each SweepRecord; with "csv" or
+    "json" it gets each chunk's rows as one text of lines (the CSV
+    without its header, CSV_HEADER).  The aggregate's sums are exact, so
+    it does not depend on the chunking or the worker count.  No more
+    workers start than there are chunks.
     """
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
@@ -244,7 +455,10 @@ def sweep(
         raise ValueError("r must be >= 0")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    chunk_args = [(start, stop, r, policy) for start, stop in _chunk_ranges(x_max)]
+    if row_format not in (None, "csv", "json"):
+        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
+    chunk_args = [(start, stop, r, policy, row_format) for start, stop in _chunk_ranges(x_max)]
+    workers = min(workers, len(chunk_args))
     if workers == 1:
         return _reduce(map(_process_chunk, chunk_args), r, record_sink)
     # Leaving the block calls terminate(): on an error in the sink the
@@ -254,12 +468,12 @@ def sweep(
 
 
 def _reduce(results, r: int, record_sink) -> SweepAggregate:
-    """Merge chunk results, feeding each chunk's records to the sink in order."""
+    """Merge chunk results, handing each chunk's sink items to the sink in order."""
     total = SweepAggregate(rounds=r)
-    for records, partial in results:
+    for items, partial in results:
         if record_sink is not None:
-            for rec in records:
-                record_sink(rec)
+            for item in items:
+                record_sink(item)
         total = total.merge(partial)
     return total
 

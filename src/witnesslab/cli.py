@@ -14,8 +14,6 @@ The default seed comes from the WITNESSLAB_SEED environment variable
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 from . import analysis, galois, product, witness
@@ -23,14 +21,6 @@ from .analysis import AdversarialConfig, FixedEll, SmallestEll
 from .galois import PerfectPower
 from .numth import BudgetExceeded, is_prime, lcm_range
 from .rng import SEED_BOUND, CounterRng
-
-
-CSV_HEADER = list(analysis.SweepRecord._fields)
-
-
-def _record_cells(rec: analysis.SweepRecord) -> list:
-    """The CSV row: booleans become 1/0 and None an empty cell."""
-    return ["" if v is None else int(v) if isinstance(v, bool) else v for v in rec]
 
 
 def _odd_prime(text: str) -> int:
@@ -130,9 +120,7 @@ def cmd_test(args) -> int:
 
 def cmd_count(args) -> int:
     rec = analysis.examine(args.n, args.rounds, args.ell)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerow(_record_cells(rec))
+    sys.stdout.write(analysis.CSV_HEADER + analysis.render_records([rec], "csv"))
     return 0
 
 
@@ -144,20 +132,14 @@ def cmd_sweep(args) -> int:
         return 2
     with handle:
         if args.format == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-
-            def sink(rec):
-                writer.writerow(_record_cells(rec))
-
-        else:
-
-            def sink(rec):
-                handle.write(json.dumps(rec._asdict(), separators=(",", ":")))
-                handle.write("\n")
-
+            handle.write(analysis.CSV_HEADER)
         agg = analysis.sweep(
-            args.max, args.rounds, args.ell, workers=args.workers, record_sink=sink
+            args.max,
+            args.rounds,
+            args.ell,
+            workers=args.workers,
+            record_sink=handle.write,
+            row_format=args.format,
         )
     _emit(**agg.summary(), out=args.out)
     if isinstance(args.ell, FixedEll):
@@ -258,7 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("adversary", help="build n with a guaranteed witness floor")
-    p.add_argument("--M", type=_parse_modulus, default=lcm_range(12), help="modulus, or lcm:<B>")
+    p.add_argument(
+        "--M",
+        type=_parse_modulus,
+        default=lcm_range(12),
+        help="modulus, or lcm:<B> for lcm(1..B); B must be below --pool-bound, "
+        "since every prime up to B divides lcm(1..B) and so never enters the pool",
+    )
     p.add_argument("--pool-bound", type=_int_at_least(2), default=200)
     p.add_argument("--cutoff", type=_int_at_least(0), default=5)
     p.add_argument("--k", type=_int_at_least(1), default=3)

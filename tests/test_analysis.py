@@ -1,11 +1,15 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 import multiprocessing.pool
 import sys
 
+import numpy as np
 import pytest
 
-from witnesslab import analysis, galois, numth, product, witness
+from witnesslab import analysis, cli, galois, numth, product, witness
 from witnesslab.analysis import (
     AdversarialConfig,
     BoundsReport,
@@ -22,6 +26,7 @@ from witnesslab.analysis import (
     examine,
     sweep,
 )
+from witnesslab.galois import NonIntegral
 from witnesslab.numth import (
     carmichael_lambda,
     euler_phi,
@@ -268,6 +273,185 @@ def test_sweep_records_roundtrip():
     sweep(99, 2, FixedEll(3), record_sink=recs.append)
     assert [r.n for r in recs] == list(range(3, 100, 2))
     assert recs[0].skip == "not-coprime"
+
+
+def test_sweep_text_sink_error_terminates_the_pool(monkeypatch):
+    """A failing write of a chunk's rendered rows stops the workers too."""
+    events = []
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def recording_terminate(pool):
+        events.append("terminate")
+        terminate(pool)
+
+    def failing_write(text):
+        events.append(text[:8])
+        raise OSError("disk is full")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
+    try:
+        sweep(200001, 2, FixedEll(3), workers=2, record_sink=failing_write, row_format="csv")
+    except OSError as exc:
+        events.append(str(exc))
+    assert events == ["3,0,2,2,", "terminate", "disk is full"]
+
+
+def test_pool_is_no_larger_than_the_work(monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and runs the chunks in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable):
+            return map(fn, iterable)
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    assert cli.main(["sweep", "--max", "10", "--workers", "64", "--out", str(tmp_path / "rows.csv")]) == 0
+    assert sweep(10, 2, FixedEll(3), workers=64) == sweep(10, 2, FixedEll(3))
+    assert sizes == []  # 4 odd n make one chunk, run serially
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 7)
+    chunks = len(analysis._chunk_ranges(301))
+    assert sweep(301, 2, FixedEll(3), workers=64) == sweep(301, 2, FixedEll(3))
+    assert sweep(301, 2, FixedEll(3), workers=3) == sweep(301, 2, FixedEll(3))
+    assert sizes == [chunks, 3] and chunks == 22
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: FixedEll(9), lambda: FixedEll(2), lambda: FixedEll(1), lambda: FixedEll(-3),
+     lambda: SmallestEll(2), lambda: SmallestEll(0)],
+    ids=["fixed9", "fixed2", "fixed1", "fixed-3", "smallest2", "smallest0"],
+)
+def test_policies_reject_invalid_values(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_sweep_rejects_an_unknown_row_format():
+    with pytest.raises(ValueError):
+        sweep(99, 2, FixedEll(3), record_sink=print, row_format="xml")
+
+
+# -- block engine -------------------------------------------------------------
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b, (a, b)
+        assert [type(v) for v in a] == [type(v) for v in b], a
+
+
+def test_block_rows_equal_examine_rows_up_to_1e5(monkeypatch):
+    policy = FixedEll(3)
+    reference = [examine(n, 2, policy) for n in range(3, 100001, 2)]
+    examined = []
+    real_examine = analysis.examine
+
+    def counting_examine(n, r, policy):
+        examined.append(n)
+        return real_examine(n, r, policy)
+
+    monkeypatch.setattr(analysis, "examine", counting_examine)
+    rows = []
+    agg = sweep(100000, 2, policy, record_sink=rows.append)
+    assert examined == []  # every chunk went through the block engine
+    assert_same_records(rows, reference)
+    manual = SweepAggregate(rounds=2)
+    for rec in reference:
+        manual.add_record(rec)
+    assert agg == manual
+
+
+@pytest.mark.parametrize("start", [10**6 + 1, 10**7 + 1, analysis._BLOCK_MAX_N - 4000])
+def test_block_window_equals_examine(start):
+    stop = start + 2 * 2000
+    assert stop - 1 <= analysis._BLOCK_MAX_N
+    cols = analysis._block_columns(start, stop, 2)
+    rows = [analysis.SweepRecord._make(row) for row in zip(*cols)]
+    assert_same_records(rows, [examine(n, 2, FixedEll(3)) for n in range(start, stop, 2)])
+
+
+def test_block_bound_is_isqrt_of_the_int64_range():
+    assert analysis._BLOCK_MAX_N == 3037000499
+    assert analysis._BLOCK_MAX_N**2 < 2**63 <= (analysis._BLOCK_MAX_N + 1) ** 2
+
+
+@pytest.mark.parametrize("bound", [0, 4002], ids=["all-scalar", "first-chunk-block"])
+def test_scalar_path_gives_the_same_rows_and_aggregate(monkeypatch, bound):
+    block_rows = []
+    block_agg = sweep(10001, 2, FixedEll(3), record_sink=block_rows.append)
+    monkeypatch.setattr(analysis, "_BLOCK_MAX_N", bound)
+    scalar_rows = []
+    assert sweep(10001, 2, FixedEll(3), record_sink=scalar_rows.append) == block_agg
+    assert_same_records(scalar_rows, block_rows)
+
+
+def _record_cells(rec):
+    """The CSV cells csv.writer is given: booleans become 1/0 and None an empty cell."""
+    return ["" if v is None else int(v) if isinstance(v, bool) else v for v in rec]
+
+
+@pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()], ids=["fixed3", "smallest"])
+def test_rendered_rows_match_csv_writer_and_json_dumps(policy):
+    records = []
+    sweep(10001, 2, policy, record_sink=records.append)
+    expected_csv = io.StringIO()
+    writer = csv.writer(expected_csv, lineterminator="\n")
+    writer.writerow(analysis.SweepRecord._fields)
+    writer.writerows(map(_record_cells, records))
+    expected_json = "".join(json.dumps(rec._asdict(), separators=(",", ":")) + "\n" for rec in records)
+    rendered = {}
+    for fmt in ("csv", "json"):
+        chunks = []
+        sweep(10001, 2, policy, record_sink=chunks.append, row_format=fmt)
+        assert len(chunks) == len(analysis._chunk_ranges(10001))
+        rendered[fmt] = "".join(chunks)
+    assert analysis.CSV_HEADER + rendered["csv"] == expected_csv.getvalue()
+    assert rendered["json"] == expected_json
+    assert analysis.render_records(records[:3], "json") == "".join(expected_json.splitlines(True)[:3])
+
+
+def test_block_checks_the_sieved_factorization(monkeypatch):
+    n = np.array([27, 35], dtype=np.int64)
+    assert analysis._split_off(n, np.array([27, 5])).tolist() == [1, 7]
+    with pytest.raises(ValueError):
+        analysis._split_off(n, np.array([27, 10]))
+    # A composite among the sieving primes extracts 9 * 27 from n = 27.
+    real_primes = analysis.primes_up_to
+    monkeypatch.setattr(analysis, "primes_up_to", lambda limit: sorted(real_primes(limit) + [9]))
+    with pytest.raises(ValueError):
+        analysis._block_columns(3, 4003, 2)
+
+
+def test_block_checks_that_k_is_integral():
+    numerator = np.array([144, 145, 7], dtype=np.int64)
+    divisor = np.array([144, 144, 2], dtype=np.int64)
+    covered = np.array([True, False, False])
+    assert analysis._exact_quotient(numerator, divisor, covered).tolist() == [1, 1, 3]
+    with pytest.raises(NonIntegral):
+        analysis._exact_quotient(numerator, divisor, np.array([True, True, False]))
+
+
+def test_block_log_sums_refuse_a_value_that_would_truncate():
+    values = [35, 4, 1, 10**40]
+    assert analysis._log_units_sum(values, 3) == sum(analysis._log_units(3 * math.log(v)) for v in values)
+    with pytest.raises(ValueError):
+        analysis._log_units(math.log(1.1))
+    with pytest.raises(ValueError):
+        analysis._log_units_sum([35, 1.1])
 
 
 # -- series constants -------------------------------------------------------

@@ -6,7 +6,10 @@ A name deleted from the package would otherwise break `bench/run.py
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from witnesslab import analysis
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -22,3 +25,23 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), (module_name, attr)
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr)
+
+
+def test_sweep_bindings_the_tracer_wraps():
+    """The tracer also wraps analysis.sweep, finding record_sink as its fifth
+    positional argument, and analysis._process_chunk, the pool's chunk function."""
+    assert callable(analysis.sweep) and callable(analysis._process_chunk)
+    params = list(inspect.signature(analysis.sweep).parameters.values())
+    assert params[4].name == "record_sink"
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params[:5])
+    assert [p.name for p in inspect.signature(analysis._process_chunk).parameters.values()] == ["args"]
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sweep, chunk = analysis.sweep, analysis._process_chunk
+    installed = tracer.Tracer().install()
+    try:
+        assert analysis.sweep is not sweep and analysis._process_chunk is not chunk
+    finally:
+        installed.restore()
+    assert analysis.sweep is sweep and analysis._process_chunk is chunk
