@@ -5,15 +5,18 @@ other modules provide, and reduces them into an aggregate of integers
 (the log sums in fixed point), so the aggregate is the same for any
 split of the range and any worker count.  Chunk order only orders the
 records handed to the sink.  A chunk holds its records as columns:
-fixed:3 chunks below the int64 bound come from the block engine
-(_block_columns), every other chunk from examine, and both are reduced
-and rendered by the same two functions.
+under every conductor policy, a chunk whose n are all at most
+isqrt(2**63 - 1) = 3037000499 comes from the block engine
+(_block_columns), and only a chunk above that bound from examine, the
+per-n definition.  Both are reduced and rendered by the same two
+functions.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -26,13 +29,16 @@ from . import witness
 from .galois import (
     DEFAULT_ELL_MAX,
     _conductor_counts,
+    _residue_failure,
     conductor_failure,
     count_H,
     find_conductor,
+    local_data,
     NoConductor,
     NonIntegral,
 )
 from .numth import (
+    _iroot,
     _unity_roots_prime_power,
     factorize,
     is_prime,
@@ -237,11 +243,12 @@ def examine(n: int, r: int, policy) -> SweepRecord:
     )
 
 
-# The block engine serves FixedEll(3) while every n of a chunk is at most
-# isqrt(2**63 - 1), so that each of its int64 columns stays below
-# n**2 < 2**63.  Every other chunk is built from examine.
-_BLOCK_POLICY = FixedEll(3)
-_BLOCK_MAX_N = math.isqrt(2**63 - 1)
+# The block engine serves every chunk whose n are all at most
+# isqrt(2**63 - 1), whatever the policy: below it n**2 fits int64, so
+# every row with d = 2 is narrow (see _block_conductor_counts).  Every
+# chunk above the bound is built from examine.
+_INT64_MAX = 2**63 - 1
+_BLOCK_MAX_N = math.isqrt(_INT64_MAX)
 
 
 def _chunk_ranges(x_max: int) -> list[tuple[int, int]]:
@@ -252,8 +259,8 @@ def _chunk_ranges(x_max: int) -> list[tuple[int, int]]:
 
 def _chunk_columns(start: int, stop: int, r: int, policy) -> _Columns:
     """The records of the odd n in [start, stop), as columns."""
-    if policy == _BLOCK_POLICY and stop - 1 <= _BLOCK_MAX_N:
-        return _block_columns(start, stop, r)
+    if stop - 1 <= _BLOCK_MAX_N:
+        return _block_columns(start, stop, r, policy)
     return _Columns._make(zip(*(examine(n, r, policy) for n in range(start, stop, 2))))
 
 
@@ -271,24 +278,23 @@ def _split_off(n: np.ndarray, extracted: np.ndarray) -> np.ndarray:
     return cofactor
 
 
-def _exact_quotient(numerator: np.ndarray, divisor: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """numerator // divisor, checking that the division is exact where it is used."""
-    quotient, remainder = np.divmod(numerator, divisor)
-    if remainder[where].any():
+def _exact_quotient(numerator: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+    """numerator // divisor (int64 or object columns), checking that every division is exact."""
+    if (numerator % divisor).any():
         raise NonIntegral("cofactor_k numerator not divisible by count_D")
-    return quotient
+    return numerator // divisor
 
 
-def _block_columns(start: int, stop: int, r: int) -> _Columns:
-    """The FixedEll(3) records of the odd n in [start, stop), from int64 columns.
+def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
+    """The records of the odd n in [start, stop), from numpy columns.
 
     These are examine's closed forms, taken over (row, prime) pairs
     instead of one n at a time.  The odd primes up to isqrt(stop - 1)
     sieve the block, and what is left of each n is 1 or a prime, which
     adds one more pair.  Each count is then a product (v a minimum) of
-    local terms over the pairs of its row.  With ell = 3 a prime p has
-    residue degree f = 1 when p = 1 (mod 3) and f = 2 when p = 2, so its
-    Galois term is gcd(n**2 - 1, p - 1) or gcd(n - p, p**2 - 1).
+    local terms over the pairs of its row.  F, MR and the square tag
+    need no conductor; _block_conductors finds each row's conductor and
+    _block_conductor_counts its Gal, D, H and k.
     """
     n = np.arange(start, stop, 2, dtype=np.int64)
     size = len(n)
@@ -320,44 +326,156 @@ def _block_columns(start: int, stop: int, r: int) -> _Columns:
     def product(terms):
         return np.multiply.reduceat(terms, starts)
 
-    n_pair = n[rows]
-    n2_1 = n_pair * n_pair - 1
     p_1 = p - 1
-    p2_1 = p * p - 1
-    split = p % 3 == 1  # f = 1
-    pf_1 = np.where(split, p_1, p2_1)  # p**f - 1
     # count_MR: v is the least 2-adic valuation of p - 1 (never above that
     # of n - 1, since n = 1 mod 2**v), s the product of gcd(m, odd part).
     v_p, odd_p = _two_adic(p_1)
     m_n = _two_adic(n - 1)[1]
     v = np.minimum.reduceat(v_p, starts)
     MR = (((1 << (v * w)) - 1) // ((1 << w) - 1) + 1) * product(np.gcd(m_n[rows], odd_p))
-    # _conductor_counts at ell = 3.
-    gal = product(np.where(split, np.gcd(n2_1, p_1), np.gcd(n_pair - p, p2_1)))
-    relaxed = product(np.gcd(pf_1, n2_1))
-    tags = [conductor_failure(residue, 3) for residue in range(3)] + ["perfect-power"]
     square = np.add.reduceat(e & 1, starts) == 0
-    tag_index = np.where(square, 3, n % 3)
-    covered = tag_index == tags.index(None)
-    k = _exact_quotient(product(pf_1), relaxed, covered)
-
-    def masked(col):
-        return np.where(covered, col, None).tolist()
-
-    mr, gal_list = MR.tolist(), gal.tolist()
+    ell, skip = _block_conductors(n, square, policy)
+    gal, relaxed, h, k = _block_conductor_counts(n, rows, p, w, ell)
+    mr = MR.tolist()
     return _Columns(
         n=n.tolist(),
         composite=(np.add.reduceat(e, starts) > 1).tolist(),
-        F=product(np.gcd(p_1, n_pair - 1)).tolist(),
+        F=product(np.gcd(p_1, n[rows] - 1)).tolist(),
         MR=mr,
-        Gal=masked(gal),
-        D=masked(relaxed),
-        H=masked(product(np.gcd(p2_1, n2_1))),
-        k=masked(k),
-        Str=[m**r * g if c else None for m, g, c in zip(mr, gal_list, covered.tolist())],
-        ell=masked(3),
-        skip=np.array(tags, dtype=object)[tag_index].tolist(),
+        Gal=gal,
+        D=relaxed,
+        H=h,
+        k=k,
+        Str=[None if g is None else m**r * g for m, g in zip(mr, gal)],
+        ell=np.where(ell > 0, ell, None).tolist(),
+        skip=skip.tolist(),
     )
+
+
+def _block_conductors(n: np.ndarray, square: np.ndarray, policy) -> tuple[np.ndarray, np.ndarray]:
+    """(ell, skip) for the rows n, as examine finds them; ell is 0 where skip holds a tag.
+
+    Squares are "perfect-power".  FixedEll tags every other row with
+    _residue_failure(n % ell, ell).  SmallestEll tries the odd primes up
+    to ell_max in increasing order on the rows still open, and a row
+    takes the first ell that accepts its residue, or "no-conductor".
+    """
+    if isinstance(policy, FixedEll):
+        candidates = (policy.ell,)
+    elif isinstance(policy, SmallestEll):
+        candidates = (c for c in range(3, policy.ell_max + 1, 2) if is_prime(c))
+    else:
+        raise TypeError(f"unknown conductor policy: {policy!r}")
+    ell = np.zeros_like(n)
+    skip = np.full(len(n), None, dtype=object)
+    skip[square] = "perfect-power"
+    open_rows, tags = np.flatnonzero(~square), None
+    for c in candidates:
+        if not len(open_rows):
+            break
+        residues, index = np.unique(n[open_rows] % c, return_inverse=True)
+        tags = np.array([_residue_failure(res, c) for res in residues.tolist()], dtype=object)[index]
+        accepted = np.equal(tags, None)
+        ell[open_rows[accepted]] = c
+        open_rows, tags = open_rows[~accepted], tags[~accepted]
+    skip[open_rows] = "no-conductor" if isinstance(policy, SmallestEll) else tags
+    return ell, skip
+
+
+def _block_conductor_counts(
+    n: np.ndarray, rows: np.ndarray, p: np.ndarray, w: np.ndarray, ell: np.ndarray
+) -> list[list]:
+    """Gal, D, H and k of the rows with a conductor (ell > 0), None elsewhere.
+
+    A row is narrow when n**d < 2**63 (d = ell - 1): each local term and
+    product is then at most n**d, so all of them are int64.  The other
+    rows take their products in Python ints.
+    """
+    covered = ell > 0
+    degrees, index = np.unique(ell[covered] - 1, return_inverse=True)
+    roots = np.array([_iroot(_INT64_MAX, d) for d in degrees.tolist()], dtype=np.int64)
+    narrow = covered.copy()
+    narrow[covered] = n[covered] <= roots[index]
+    columns = [np.full(len(n), None, dtype=object) for _ in range(4)]
+    for part, exact in ((narrow, True), (covered & ~narrow, False)):
+        pairs = np.flatnonzero(part[rows])
+        if len(pairs):
+            counts = _local_counts(n[rows[pairs]], p[pairs], ell[rows[pairs]], w[part], exact)
+            for column, count in zip(columns, counts):
+                column[part] = count
+    return [column.tolist() for column in columns]
+
+
+def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, exact: bool) -> tuple:
+    """(Gal, D, H, k) of a run of rows, from their (n, p, ell) pairs, w pairs a row.
+
+    The local terms are those of _conductor_counts and count_H: with
+    f, m and t as local_data finds them and d = ell - 1, Gal takes
+    gcd(n**m - p**t, p**f - 1), D takes gcd(n**d - 1, p**f - 1), H takes
+    gcd(n**d - 1, p**d - 1), and k is the product of p**f - 1 over D.
+    local_data runs once per distinct (ell, n mod ell, p mod ell), which
+    is all it reads.  exact says that every row is narrow, so every
+    power reduces in int64; otherwise only the pairs whose modulus is
+    below 2**31 do, and the products are Python ints.
+    """
+    ells, ell_rank = np.unique(ell, return_inverse=True)
+    base = int(min(ells[-1], n.max() + 1))  # above every n % ell and p % ell
+    dtype = np.int64 if len(ells) * base * base <= _INT64_MAX else object
+    key = (ell_rank.astype(dtype) * base + n % ell) * base + p % ell
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    local = [local_data(*args) for args in zip(n[first].tolist(), ell[first].tolist(), p[first].tolist())]
+    f, m, t = np.array([(loc.f, loc.m, loc.t) for loc in local], dtype=np.int64).T[:, group]
+    d = ell - 1
+    if exact:
+        vector_f = vector_d = np.ones(len(p), dtype=bool)
+    else:
+        log_p = np.log2(p)
+        vector_f, vector_d = f * log_p < 31, d * log_p < 31
+    gal, residue_units = _gcd_terms(n, m, p, t, f, vector_f)
+    h = _gcd_terms(n, d, p, np.zeros_like(d), d, vector_d)[0]
+    relaxed = np.gcd(h, residue_units)  # p**f - 1 divides p**d - 1
+    starts = np.cumsum(w) - w
+
+    def product(terms):
+        return np.multiply.reduceat(terms if exact else terms.astype(object), starts)
+
+    relaxed = product(relaxed)
+    return product(gal), relaxed, product(h), _exact_quotient(product(residue_units), relaxed)
+
+
+def _gcd_terms(n, a, p, b, c, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gcd(n**a - p**b, p**c - 1) and p**c - 1 for each pair, with b < c.
+
+    Where vector holds, both are int64, n**a reduced by _pow_mod, which
+    the caller has made sure is exact there; the other pairs take
+    Python ints, and the columns are then of dtype object.
+    """
+    if vector.all():
+        modulus = p**c - 1
+        return np.gcd(_pow_mod(n % modulus, a, modulus) - p**b, modulus), modulus
+    terms, moduli = np.empty((2, len(p)), dtype=object)
+    terms[vector], moduli[vector] = _gcd_terms(*(col[vector] for col in (n, a, p, b, c, vector)))
+    scalar = ~vector
+    x, e, q, s, k = (col[scalar].tolist() for col in (n, a, p, b, c))
+    scalar_moduli = [base**exp - 1 for base, exp in zip(q, k)]
+    differences = map(operator.sub, map(pow, x, e, scalar_moduli), map(pow, q, s))
+    terms[scalar] = np.array(list(map(math.gcd, differences, scalar_moduli)), dtype=object)
+    moduli[scalar] = np.array(scalar_moduli, dtype=object)
+    return terms, moduli
+
+
+def _pow_mod(x: np.ndarray, e: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """x**e % modulus elementwise (x < modulus, e >= 1), left to right.
+
+    Each product is at most min(modulus, x**i) * min(modulus, x**j) with
+    i + j <= e, so it fits int64 where modulus <= isqrt(2**63 - 1) or
+    x**e < 2**63.
+    """
+    result = np.ones_like(x)
+    for bit in reversed(range(int(e.max(initial=0)).bit_length())):
+        result = result * result % modulus
+        result = result * np.where(e >> bit & 1, x, 1) % modulus
+    return result
 
 
 def _aggregate(cols: _Columns, r: int) -> SweepAggregate:
@@ -611,13 +729,49 @@ def adversarial_generate(
     )
 
 
+class _LogValue(NamedTuple):
+    """A positive value past the float range, held as its natural log.
+
+    It formats with an e spec as its float would: f"{v:.6e}".
+    """
+
+    ln: float
+
+    def __format__(self, spec: str) -> str:
+        if not math.isfinite(self.ln):
+            return format(self.ln, spec)
+        exponent = math.floor(self.ln / math.log(10))
+        mantissa, power = format(math.exp(self.ln - exponent * math.log(10)), spec).split("e")
+        return f"{mantissa}e{int(power) + exponent:+03d}"
+
+
+def _mean(total: int, x: float) -> float | _LogValue:
+    """total / x as a float, or as a _LogValue where that float is not finite."""
+    try:
+        return total / x
+    except OverflowError:
+        return _LogValue(math.log(total) - math.log(x))
+
+
+def _curve(x: float, a: float, lx: float, k: int = 0, c: float = 1.0) -> float | _LogValue:
+    """x**a * c / lx**k as a float, or as a _LogValue where that float is not
+    finite (c itself may be inf, which stays a float)."""
+    try:
+        value = x**a * c / lx**k
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value) or math.isinf(c):
+        return value
+    return _LogValue(a * math.log(x) + math.log(c) - k * math.log(lx))
+
+
 @dataclass(frozen=True)
 class BoundsRow:
     """One comparison line: an empirical mean next to a bound curve."""
 
     label: str
-    empirical: float
-    reference: float
+    empirical: float | _LogValue
+    reference: float | _LogValue
     note: str = ""
 
 
@@ -704,38 +858,38 @@ def compare_bounds(
     rows = (
         BoundsRow(
             "gal-mean-lower",
-            agg.sum_Gal / x,
-            x ** (15 / 23),
+            _mean(agg.sum_Gal, x),
+            _curve(x, 15 / 23, lx),
             "mean should sit above the curve for large x",
         ),
         BoundsRow(
             "gal-mean-upper",
-            agg.sum_Gal / x,
-            x**d / lx,
+            _mean(agg.sum_Gal, x),
+            _curve(x, d, lx, 1),
             "curve carries a L(x)^(-1+o(1)) factor",
         ),
         BoundsRow(
             "mr-mean-lower",
-            agg.sum_MR_r / x,
-            x ** (r - 8 / 23),
+            _mean(agg.sum_MR_r, x),
+            _curve(x, r - 8 / 23, lx),
             "",
         ),
         BoundsRow(
             "mr-mean-upper",
-            agg.sum_MR_r / x,
-            x**r / lx,
+            _mean(agg.sum_MR_r, x),
+            _curve(x, r, lx, 1),
             "curve carries a L(x)^(-1+o(1)) factor",
         ),
         BoundsRow(
             "str-mean-lower",
-            agg.sum_Str / x,
-            x ** (r + 7 / 23),
+            _mean(agg.sum_Str, x),
+            _curve(x, r + 7 / 23, lx),
             "",
         ),
         BoundsRow(
             "str-mean-upper",
-            agg.sum_Str / x,
-            x ** (r + d) * zeta_r / lx**2,
+            _mean(agg.sum_Str, x),
+            _curve(x, r + d, lx, 2, zeta_r),
             zeta_note or "curve carries a L(x)^(-2+o(1)) factor",
         ),
         BoundsRow(

@@ -263,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # Str = MR**rounds * Gal can pass 4300 digits
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -460,38 +460,42 @@ def unit_count(n: int | Factorization, ell: int) -> int:
     return result
 
 
-def _vec_fold(acc: np.ndarray, n: int) -> np.ndarray:
-    """Reduce length-ell rows to canonical d coefficients mod n."""
-    return (acc[:, :-1] - acc[:, -1:]) % n
+# Elements of S that brute_Gal enumerates at once.  Their coefficients
+# are int32: a product sums at most d coefficient products, so every
+# entry stays below d * n**2 <= 2 * 10**6 under the enumeration cap.
+_BRUTE_BLOCK = 2**14
 
 
-def _vec_ring_mul(R: RingDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ell, d, n = R.ell, R.d, R.n
-    acc = np.zeros((a.shape[0], ell), dtype=np.int64)
-    for i in range(d):
-        col = a[:, i]
-        for j in range(d):
-            acc[:, (i + j) % ell] += col * b[:, j]
-    return _vec_fold(acc, n)
+def _block_mul(R: RingDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products in S of (d, block) coefficient arrays with entries in [0, n)."""
+    d, ell = R.d, R.ell
+    acc = np.empty((2 * d - 1, a.shape[1]), dtype=a.dtype)
+    np.multiply(b, a[0], out=acc[:d])
+    acc[d:] = 0
+    term = np.empty_like(b)
+    for i in range(1, d):
+        np.multiply(b, a[i], out=term)
+        acc[i : i + d] += term
+    acc[: d - 2] += acc[ell:]  # X**ell = 1
+    acc[:d] -= acc[d]  # X**d = -(1 + X + ... + X**(d-1))
+    return np.remainder(acc[:d], R.n, out=acc[:d])
 
 
-def _vec_sigma(R: RingDescriptor, x: np.ndarray, j: int = 1) -> np.ndarray:
+def _block_sigma(R: RingDescriptor, x: np.ndarray, j: int = 1) -> np.ndarray:
+    """sigma**j of (d, block) coefficient arrays."""
     u = pow(R.sigma_exponent, j, R.ell)
-    acc = np.zeros((x.shape[0], R.ell), dtype=np.int64)
-    for i in range(R.d):
-        acc[:, i * u % R.ell] += x[:, i]
-    return _vec_fold(acc, R.n)
+    acc = np.zeros((R.ell, x.shape[1]), dtype=x.dtype)
+    acc[[i * u % R.ell for i in range(R.d)]] = x
+    return (acc[: R.d] - acc[R.d]) % R.n
 
 
-def _vec_ring_pow(R: RingDescriptor, x: np.ndarray, e: int) -> np.ndarray:
-    result = np.zeros_like(x)
-    result[:, 0] = 1
-    acc = x % R.n
-    while e:
-        if e & 1:
-            result = _vec_ring_mul(R, result, acc)
-        acc = _vec_ring_mul(R, acc, acc)
-        e >>= 1
+def _block_pow(R: RingDescriptor, x: np.ndarray, e: int) -> np.ndarray:
+    """x**e (e >= 1) by left-to-right square-and-multiply."""
+    result = x
+    for bit in bin(e)[3:]:
+        result = _block_mul(R, result, result)
+        if bit == "1":
+            result = _block_mul(R, result, x)
     return result
 
 
@@ -499,25 +503,25 @@ def brute_Gal(n: int, ell: int) -> int:
     """Oracle: enumerate all of S and count Galois-passing units.
 
     Independent of count_Gal: no factorization of n, just the defining
-    condition checked for every coefficient vector.  Units are
-    decided through the ring norm, the product of all sigma-conjugates,
-    which lands in Z/nZ and is a unit exactly when x is.
+    condition checked for every coefficient vector, _BRUTE_BLOCK
+    elements at a time.  Units are decided through the ring norm, the
+    product of all sigma-conjugates, which lands in Z/nZ and is a unit
+    exactly when x is.
     """
     R = RingDescriptor(n, ell)
     d = R.d
     total = n**d
     if total > _BRUTE_LIMIT:
         raise BudgetExceeded(f"{n}**{d} elements exceed {_BRUTE_LIMIT}")
-    idx = np.arange(total, dtype=np.int64)
-    coeffs = np.empty((total, d), dtype=np.int64)
-    div = np.int64(1)
-    for i in range(d):
-        coeffs[:, i] = idx // div % n
-        div *= n
-    norm = coeffs.copy()
-    for j in range(1, d):
-        norm = _vec_ring_mul(R, norm, _vec_sigma(R, coeffs, j))
-    assert not norm[:, 1:].any(), "ring norm must be a constant"
-    invertible = np.gcd(norm[:, 0], n) == 1
-    match = np.all(_vec_ring_pow(R, coeffs, n) == _vec_sigma(R, coeffs), axis=1)
-    return int(np.count_nonzero(invertible & match))
+    count = 0
+    for low in range(0, total, _BRUTE_BLOCK):
+        index = np.arange(low, min(low + _BRUTE_BLOCK, total), dtype=np.int64)
+        x = np.array([index // n**i % n for i in range(d)], dtype=np.int32)
+        norm = x
+        for j in range(1, d):
+            norm = _block_mul(R, norm, _block_sigma(R, x, j))
+        assert not norm[1:].any(), "ring norm must be a constant"
+        unit = np.gcd(norm[0], n) == 1
+        match = (_block_pow(R, x, n) == _block_sigma(R, x)).all(axis=0)
+        count += int(np.count_nonzero(unit & match))
+    return count

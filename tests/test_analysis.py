@@ -211,10 +211,14 @@ def test_summary_log_sums_are_the_exact_sums_of_the_rows(policy):
 
 
 def test_aggregate_does_not_depend_on_the_chunk_width(monkeypatch):
-    default = sweep(5001, 2, FixedEll(3))
-    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 7)
-    assert len(analysis._chunk_ranges(5001)) == 358
-    assert sweep(5001, 2, FixedEll(3)) == default
+    for policy in (FixedEll(3), SmallestEll()):
+        default_rows, rows = [], []
+        default = sweep(5001, 2, policy, record_sink=default_rows.append)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_CHUNK_ODDS", 7)
+            assert len(analysis._chunk_ranges(5001)) == 358
+            assert sweep(5001, 2, policy, record_sink=rows.append) == default
+        assert_same_records(rows, default_rows)
 
 
 def test_log_units_refuse_a_value_that_would_truncate():
@@ -354,8 +358,12 @@ def assert_same_records(got, want):
         assert [type(v) for v in a] == [type(v) for v in b], a
 
 
-def test_block_rows_equal_examine_rows_up_to_1e5(monkeypatch):
-    policy = FixedEll(3)
+POLICIES = [FixedEll(3), SmallestEll(), FixedEll(5), FixedEll(7)]
+POLICY_IDS = ["fixed3", "smallest", "fixed5", "fixed7"]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+def test_block_rows_equal_examine_rows_up_to_1e5(monkeypatch, policy):
     reference = [examine(n, 2, policy) for n in range(3, 100001, 2)]
     examined = []
     real_examine = analysis.examine
@@ -375,13 +383,33 @@ def test_block_rows_equal_examine_rows_up_to_1e5(monkeypatch):
     assert agg == manual
 
 
-@pytest.mark.parametrize("start", [10**6 + 1, 10**7 + 1, analysis._BLOCK_MAX_N - 4000])
-def test_block_window_equals_examine(start):
+WINDOW_STARTS = [10**6 + 1, 10**7 + 1, analysis._BLOCK_MAX_N - 4000]
+
+
+# The fixed:3 windows keep their bare start as id.
+@pytest.mark.parametrize(
+    "start,policy",
+    [(start, policy) for policy in POLICIES for start in WINDOW_STARTS],
+    ids=[f"{start}" if name == "fixed3" else f"{start}-{name}" for name in POLICY_IDS for start in WINDOW_STARTS],
+)
+def test_block_window_equals_examine(start, policy):
     stop = start + 2 * 2000
     assert stop - 1 <= analysis._BLOCK_MAX_N
-    cols = analysis._block_columns(start, stop, 2)
+    cols = analysis._block_columns(start, stop, 2, policy)
     rows = [analysis.SweepRecord._make(row) for row in zip(*cols)]
-    assert_same_records(rows, [examine(n, 2, FixedEll(3)) for n in range(start, stop, 2)])
+    assert_same_records(rows, [examine(n, 2, policy) for n in range(start, stop, 2)])
+
+
+def test_block_gives_no_conductor_rows(monkeypatch):
+    policy = SmallestEll(7)
+    reference = [examine(n, 2, policy) for n in range(3, 20002, 2)]
+    monkeypatch.setattr(analysis, "examine", None)  # the block engine must not need it
+    rows = []
+    sweep(20001, 2, policy, record_sink=rows.append)
+    assert_same_records(rows, reference)
+    skips = {rec.skip for rec in rows}
+    assert {"no-conductor", "perfect-power", None} == skips
+    assert {rec.ell for rec in rows} == {3, 5, 7, None}
 
 
 def test_block_bound_is_isqrt_of_the_int64_range():
@@ -432,17 +460,21 @@ def test_block_checks_the_sieved_factorization(monkeypatch):
     # A composite among the sieving primes extracts 9 * 27 from n = 27.
     real_primes = analysis.primes_up_to
     monkeypatch.setattr(analysis, "primes_up_to", lambda limit: sorted(real_primes(limit) + [9]))
-    with pytest.raises(ValueError):
-        analysis._block_columns(3, 4003, 2)
+    for policy in POLICIES:
+        with pytest.raises(ValueError):
+            analysis._block_columns(3, 4003, 2, policy)
 
 
 def test_block_checks_that_k_is_integral():
-    numerator = np.array([144, 145, 7], dtype=np.int64)
-    divisor = np.array([144, 144, 2], dtype=np.int64)
-    covered = np.array([True, False, False])
-    assert analysis._exact_quotient(numerator, divisor, covered).tolist() == [1, 1, 3]
+    numerator = np.array([144, 290, 7], dtype=np.int64)
+    assert analysis._exact_quotient(numerator, np.array([144, 145, 7])).tolist() == [1, 2, 1]
     with pytest.raises(NonIntegral):
-        analysis._exact_quotient(numerator, divisor, np.array([True, True, False]))
+        analysis._exact_quotient(numerator, np.array([144, 144, 2]))
+    # Rows past int64 hold their products as Python ints.
+    big = np.array([3 * 10**30, 7], dtype=object)
+    assert analysis._exact_quotient(big, np.array([3, 7], dtype=object)).tolist() == [10**30, 1]
+    with pytest.raises(NonIntegral):
+        analysis._exact_quotient(big, np.array([7, 7], dtype=object))
 
 
 def test_block_log_sums_refuse_a_value_that_would_truncate():
@@ -617,6 +649,24 @@ def test_compare_bounds_rows():
     ]
     assert report.row("gal-mean-lower").empirical == pytest.approx(18456 / 999)
     assert report.row("gal-mean-lower").reference == pytest.approx(999 ** (15 / 23))
+
+
+def test_log_value_formats_as_its_float():
+    for value in (1.5e300, 2.0, 9.9999996e12, 1e-5):
+        assert format(analysis._LogValue(math.log(value)), ".6e") == format(value, ".6e")
+    assert format(analysis._LogValue(math.log(12345678 * 10**400)), ".6e") == "1.234568e+407"
+    assert format(analysis._LogValue(math.log(99999996 * 10**392)), ".6e") == "1.000000e+400"
+    assert format(analysis._LogValue(math.inf), ".6e") == "inf"
+
+
+def test_compare_bounds_past_the_float_range():
+    agg = sweep(9999, 100, FixedEll(3))
+    report = compare_bounds(agg, 2, 100)
+    row = report.row("mr-mean-lower")
+    assert isinstance(row.empirical, analysis._LogValue)
+    assert row.empirical.ln == pytest.approx(math.log(agg.sum_MR_r) - math.log(9999), rel=1e-15)
+    assert row.reference.ln == pytest.approx((100 - 8 / 23) * math.log(9999), rel=1e-15)
+    assert isinstance(report.row("gal-mean-lower").empirical, float)
 
 
 def test_compare_bounds_render_mentions_coverage():

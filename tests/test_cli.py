@@ -214,6 +214,49 @@ def test_sweep_rows_frozen(tmp_path, capsys, ell, fmt):
     assert hashlib.sha256(summary.encode()).hexdigest() == FROZEN_SUMMARY_10001[ell]
 
 
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift CPython's int/str conversion limit in this process, as cli.main does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_row_past_4300_digits(no_int_digit_limit):
+    proc = run_cli("count", "35", "--ell", "fixed:3", "--rounds", "20000")
+    assert proc.returncode == 0, proc.stderr
+    header, line = proc.stdout.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert len(row["Str"]) > 4300
+    assert int(row["Str"]) == int(row["MR"]) ** 20000 * int(row["Gal"])
+
+
+def test_sweep_rows_past_4300_digits(tmp_path, no_int_digit_limit):
+    out = tmp_path / "rows.csv"
+    proc = run_cli("sweep", "--max", "99", "--rounds", "3000", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["Str"]]
+    assert max(len(row["Str"]) for row in rows) > 4300
+    for row in rows:
+        assert int(row["Str"]) == int(row["MR"]) ** 3000 * int(row["Gal"])
+    table = [line for line in proc.stdout.splitlines() if "empirical=" in line]
+    assert len(table) == 8
+
+
+@pytest.mark.parametrize("rounds", [80, 100])
+def test_bounds_table_past_the_float_range(tmp_path, rounds):
+    proc = run_cli("sweep", "--max", "9999", "--rounds", str(rounds), "--out", str(tmp_path / "rows.csv"))
+    assert proc.returncode == 0, proc.stderr
+    table = [line for line in proc.stdout.splitlines() if "empirical=" in line]
+    assert len(table) == 8
+    assert not any("inf" in line or "nan" in line for line in table)
+
+
 def test_sweep_smallest_policy_skips_bounds_table(tmp_path):
     out = tmp_path / "rows.csv"
     proc = run_cli("sweep", "--max", "101", "--ell", "smallest:50", "--out", str(out))

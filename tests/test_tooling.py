@@ -4,14 +4,17 @@ A name deleted from the package would otherwise break `bench/run.py
 --trace 1` only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import witnesslab
 from witnesslab import analysis
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
 
 
 def test_every_traced_name_resolves():
@@ -45,3 +48,21 @@ def test_sweep_bindings_the_tracer_wraps():
     finally:
         installed.restore()
     assert analysis.sweep is sweep and analysis._process_chunk is chunk
+
+
+def test_the_oracles_the_benchmark_checks_with_resolve():
+    """bench/checks.py imports brute_F, brute_MR and brute_Gal from the package
+    and calls them as (n), (n) and (n, ell)."""
+    tree = ast.parse(CHECKS.read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "witnesslab"
+        for alias in node.names
+    }
+    calls = {"brute_F": (9,), "brute_MR": (9,), "brute_Gal": (5, 3)}
+    assert imported == set(calls)
+    for name, args in calls.items():
+        oracle = getattr(witnesslab, name)
+        inspect.signature(oracle).bind(*args)
+        assert isinstance(oracle(*args), int), name
