@@ -623,6 +623,26 @@ def eval_c1(bound: int = 10**5) -> tuple[float, float]:
     return eval_c3(1, bound)[0], _series_tail(bound)
 
 
+def _series_sums(d: int, bound: int) -> tuple[float, float]:
+    """eval_c1's and eval_c3's values from one pass over the prime powers.
+
+    A C3 term is f * f * log(p) / den, evaluated left to right: f * f
+    times the C1 term would round differently and change the bounds
+    table's bytes.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    c1_terms, c3_terms = [], []
+    for p, j, s in _prime_power_terms(bound):
+        f = _unity_roots_prime_power(p, j, d)
+        log_p, den = math.log(p), s * (s - s // p)
+        c1_terms.append(log_p / den)
+        c3_terms.append(f * f * log_p / den)
+    return math.fsum(c1_terms), math.fsum(c3_terms)
+
+
 def eval_c3(d: int, bound: int = 10**5) -> tuple[float, float]:
     """Partial sum of f(s, d1)**2 * Lambda(s)/(s*phi(s)), d1 = gcd(lambda(s), d).
 
@@ -632,15 +652,7 @@ def eval_c3(d: int, bound: int = 10**5) -> tuple[float, float]:
     what is summed.  The tail majorant scales the base tail by the
     largest possible f**2, namely (2d)**2.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    terms = []
-    for p, j, s in _prime_power_terms(bound):
-        f = _unity_roots_prime_power(p, j, d)
-        terms.append(f * f * math.log(p) / (s * (s - s // p)))
-    return math.fsum(terms), (2 * d) ** 2 * _series_tail(bound)
+    return _series_sums(d, bound)[1], (2 * d) ** 2 * _series_tail(bound)
 
 
 @dataclass(frozen=True)
@@ -847,8 +859,7 @@ def compare_bounds(
     summary = agg.summary()
     lx = L_of(x)
     loglog = math.log(math.log(x))
-    c1_val, _ = eval_c1(series_bound)
-    c3_val, _ = eval_c3(d, series_bound)
+    c1_val, c3_val = _series_sums(d, series_bound)
     zeta_note = ""
     if r >= 2:
         zeta_r = _zeta(r)

@@ -63,7 +63,7 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     R = RingDescriptor(n, ell)
     evidence = witness._mr_rounds(n, r, streams)
     if evidence is None:
-        evidence = galois.galois_test(R, _draw_nonzero(R, streams.stream(r)))
+        evidence = galois.galois_test(R, _draw_nonzero(R, streams._shared_stream(r)))
     return StrongerVerdict(n, PROBABLY_PRIME if evidence is None else COMPOSITE, evidence)
 
 

@@ -6,11 +6,17 @@ reproduced, or run concurrently, without sharing generator state.
 Draw values are therefore stable for a fixed seed across runs.  Every
 base and ring element is drawn through draw_int, which also covers
 ranges wider than numpy's int64.
+
+The rounds of a verdict do not build a generator each: each thread
+keeps one Philox and re-keys it in place for every round, which gives
+the same draws as a fresh one.  stream() still returns an independent
+Generator, so a caller may hold several at once.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -21,6 +27,10 @@ _INT64_BOUND = 1 << 63
 
 # Philox takes a 128-bit key, so a seed lies in [0, SEED_BOUND).
 SEED_BOUND = 1 << 128
+
+# Philox's counter is four 64-bit words.
+_COUNTER_BOUND = 1 << 256
+_WORD = (1 << 64) - 1
 
 
 def default_seed() -> int:
@@ -49,6 +59,30 @@ class CounterRng:
         """Generator for stream `index`; same (seed, index) = same draws."""
         return np.random.Generator(np.random.Philox(key=self.seed, counter=index))
 
+    def _shared_stream(self, index: int) -> np.random.Generator:
+        """Stream `index` from this thread's one re-keyed Generator.
+
+        Same draws as stream(index), without building a Philox.  The
+        next call on this thread re-keys the same Generator, so draw
+        from it before calling again.  Each call sets the whole state,
+        so a draw cut off by an exception leaves nothing behind.
+        """
+        if not 0 <= index < _COUNTER_BOUND:
+            raise ValueError("counter must be positive and less than 2**256.")
+        try:
+            rekeyed = _per_thread.rekeyed
+        except AttributeError:
+            rekeyed = _per_thread.rekeyed = _Rekeyed()
+        key, counter = rekeyed.key, rekeyed.counter
+        key[0] = self.seed & _WORD
+        key[1] = self.seed >> 64
+        counter[0] = index & _WORD
+        counter[1] = index >> 64 & _WORD
+        counter[2] = index >> 128 & _WORD
+        counter[3] = index >> 192
+        rekeyed.bit_generator.state = rekeyed.state
+        return rekeyed.generator
+
     @classmethod
     def coerce(cls, value) -> "CounterRng":
         """Accept None (env/default seed), an int seed, or a CounterRng."""
@@ -57,6 +91,33 @@ class CounterRng:
         if value is None or isinstance(value, int):
             return cls(value)
         raise TypeError(f"cannot use {type(value).__name__} as rng")
+
+
+class _Rekeyed:
+    """A Philox with its Generator, and the state that re-keys it.
+
+    key and counter are the state's own lists: filling them in place
+    and assigning the state sets the key, all four counter words and an
+    empty buffer (lists set faster than numpy arrays here).
+    """
+
+    def __init__(self):
+        self.bit_generator = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self.bit_generator)
+        self.key = [0, 0]
+        self.counter = [0, 0, 0, 0]
+        self.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self.counter, "key": self.key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
+# Built on each thread's first _shared_stream call.
+_per_thread = threading.local()
 
 
 def draw_int(gen: np.random.Generator, low: int, high: int, size: int | None = None):

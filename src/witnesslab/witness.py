@@ -143,7 +143,7 @@ def _mr_rounds(n: int, r: int, streams: CounterRng) -> tuple | None:
     """Round i tests a base in [1, n) from stream i: ("factor", g) when it
     shares g > 1 with n, ("mr-round", i) when it fails, None when all pass."""
     for i in range(r):
-        a = draw_int(streams.stream(i), 1, n)
+        a = draw_int(streams._shared_stream(i), 1, n)
         g = math.gcd(a, n)
         if g > 1:
             return ("factor", g)

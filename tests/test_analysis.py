@@ -530,6 +530,23 @@ def test_eval_c3_term_by_term():
     assert inc == pytest.approx(4 * math.log(3) / 6, rel=1e-12)
 
 
+def test_series_values_are_frozen_bit_for_bit():
+    # Both sums come from one pass; every value is == the two-pass one.
+    assert eval_c1(10**5)[0] == 0.898454904829415
+    assert eval_c1(1000)[0] == 0.897460846258802
+    frozen = {
+        2: (2.9006724374666275, 2.8966750513020276),
+        3: (1.7998586714790523, 1.794899537022557),
+        4: (4.7974969991915755, 4.787438724729198),
+        6: (6.506287504065177, 6.486429814357047),
+        10: (6.3330254572372535, 6.305086317125299),
+    }
+    for d, (at_10_5, at_1000) in frozen.items():
+        assert eval_c3(d, 10**5)[0] == at_10_5, d
+        assert eval_c3(d, 1000)[0] == at_1000, d
+        assert analysis._series_sums(d, 10**5) == (eval_c1(10**5)[0], at_10_5)
+
+
 def test_eval_c3_tail_scales_with_d():
     _, t1 = eval_c1(1000)
     _, t3 = eval_c3(3, 1000)

@@ -77,3 +77,36 @@ def test_big_draws_fall_in_range(low, high):
 def test_big_draws_are_reproducible():
     a = draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
     assert a == draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
+
+
+_SEEDS = (0, 2**32 + 7, 2**64 - 1, 2**64, 2**128 - 1)
+_INDICES = (0, 1, 2, 2**64 + 3)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_shared_stream_draws_what_stream_draws(seed):
+    base = CounterRng(seed)
+    for index in _INDICES:
+        for high in (2**20, 2**63, 2**63 + 1, 2**127 - 1):
+            for size in (None, 4):
+                fresh = base.stream(index)
+                expected = [draw_int(fresh, 1, high, size), draw_int(fresh, 0, high, size)]
+                # the second draw continues on the same re-keyed generator
+                shared = base._shared_stream(index)
+                got = [draw_int(shared, 1, high, size), draw_int(shared, 0, high, size)]
+                assert got == expected, (seed, index, high, size)
+
+
+def test_shared_stream_is_one_generator_per_thread():
+    base = CounterRng(3)
+    first = base._shared_stream(0)
+    assert base._shared_stream(5) is first
+    assert CounterRng(4)._shared_stream(0) is first
+
+
+def test_shared_stream_rejects_what_stream_rejects():
+    for index in (-1, 2**256):
+        with pytest.raises(ValueError):
+            CounterRng(0).stream(index)
+        with pytest.raises(ValueError):
+            CounterRng(0)._shared_stream(index)
