@@ -4,12 +4,12 @@ The sweep walks odd n up to a bound, records every exact count the
 other modules provide, and reduces them into an aggregate of integers
 (the log sums in fixed point), so the aggregate is the same for any
 split of the range and any worker count.  Chunk order only orders the
-records handed to the sink.  A chunk holds its records as columns:
-under every conductor policy, a chunk whose n are all at most
-isqrt(2**63 - 1) = 3037000499 comes from the block engine
-(_block_columns), and only a chunk above that bound from examine, the
-per-n definition.  Both are reduced and rendered by the same two
-functions.
+records handed to the sink.  Every chunk comes from one engine,
+_block_columns, which sieves it with the odd primes up to its square
+root; the sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as
+sweep checks before any chunk runs.  Chunks are made lazily.  examine,
+the per-n definition, gives count its record and the tests their
+reference.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .galois import (
     NonIntegral,
 )
 from .numth import (
+    _SIEVE_LIMIT,
+    BudgetExceeded,
     _iroot,
     _unity_roots_prime_power,
     factorize,
@@ -243,25 +245,13 @@ def examine(n: int, r: int, policy) -> SweepRecord:
     )
 
 
-# The block engine serves every chunk whose n are all at most
-# isqrt(2**63 - 1), whatever the policy: below it n**2 fits int64, so
-# every row with d = 2 is narrow (see _block_conductor_counts).  Every
-# chunk above the bound is built from examine.
 _INT64_MAX = 2**63 - 1
-_BLOCK_MAX_N = math.isqrt(_INT64_MAX)
 
 
-def _chunk_ranges(x_max: int) -> list[tuple[int, int]]:
-    """Half-open odd ranges [start, stop) covering 3..x_max."""
-    span = 2 * _CHUNK_ODDS
-    return [(start, min(start + span, x_max + 1)) for start in range(3, x_max + 1, span)]
-
-
-def _chunk_columns(start: int, stop: int, r: int, policy) -> _Columns:
-    """The records of the odd n in [start, stop), as columns."""
-    if stop - 1 <= _BLOCK_MAX_N:
-        return _block_columns(start, stop, r, policy)
-    return _Columns._make(zip(*(examine(n, r, policy) for n in range(start, stop, 2))))
+def _chunk_ranges(x_max: int) -> range:
+    """Each chunk's start, as a lazy range; the chunk at start holds
+    the odd n in [start, start + 2 * _CHUNK_ODDS) up to x_max."""
+    return range(3, x_max + 1, 2 * _CHUNK_ODDS)
 
 
 def _two_adic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -536,13 +526,15 @@ def render_records(records, row_format: str = "csv") -> str:
 def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
     """(sink items, aggregate) for one chunk.
 
-    The sink items are the chunk's SweepRecords when row_format is None,
-    and otherwise its rows as one rendered text, formatted in the
-    process that computed them.
+    The sink items are none when there is no sink, the chunk's
+    SweepRecords when row_format is None, and otherwise its rows as one
+    rendered text, formatted in the process that computed them.
     """
-    start, stop, r, policy, row_format = args
-    cols = _chunk_columns(start, stop, r, policy)
-    if row_format is None:
+    start, stop, r, policy, row_format, has_sink = args
+    cols = _block_columns(start, stop, r, policy)
+    if not has_sink:
+        items = []
+    elif row_format is None:
         items = list(map(SweepRecord._make, zip(*cols)))
     else:
         items = [_render(cols, row_format)]
@@ -565,7 +557,8 @@ def sweep(
     "json" it gets each chunk's rows as one text of lines (the CSV
     without its header, CSV_HEADER).  The aggregate's sums are exact, so
     it does not depend on the chunking or the worker count.  No more
-    workers start than there are chunks.
+    workers start than there are chunks.  Raises BudgetExceeded before
+    any chunk runs when isqrt(x_max) is past the sieve cap.
     """
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
@@ -575,8 +568,12 @@ def sweep(
         raise ValueError("workers must be >= 1")
     if row_format not in (None, "csv", "json"):
         raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
-    chunk_args = [(start, stop, r, policy, row_format) for start, stop in _chunk_ranges(x_max)]
-    workers = min(workers, len(chunk_args))
+    if math.isqrt(x_max) > _SIEVE_LIMIT:
+        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
+    starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
+    has_sink = record_sink is not None
+    chunk_args = ((a, min(a + span, x_max + 1), r, policy, row_format, has_sink) for a in starts)
+    workers = min(workers, len(starts))
     if workers == 1:
         return _reduce(map(_process_chunk, chunk_args), r, record_sink)
     # Leaving the block calls terminate(): on an error in the sink the
@@ -589,9 +586,8 @@ def _reduce(results, r: int, record_sink) -> SweepAggregate:
     """Merge chunk results, handing each chunk's sink items to the sink in order."""
     total = SweepAggregate(rounds=r)
     for items, partial in results:
-        if record_sink is not None:
-            for item in items:
-                record_sink(item)
+        for item in items:
+            record_sink(item)
         total = total.merge(partial)
     return total
 
@@ -889,7 +885,8 @@ def compare_bounds(
             "mr-mean-upper",
             _mean(agg.sum_MR_r, x),
             _curve(x, r, lx, 1),
-            "curve carries a L(x)^(-1+o(1)) factor",
+            "curve carries a L(x)^(-1+o(1)) factor; below the mr-mean-lower curve"
+            " for 1.8e3 < x < 3.2e22, so compare exponents only",
         ),
         BoundsRow(
             "str-mean-lower",

@@ -345,17 +345,17 @@ def lcm_range(bound: int) -> int:
     return level[0] if level else 1
 
 
-# exp(e) twice-iterated: below this x the exponent in L_of is negative.
-_EEE = math.exp(math.exp(math.e))
+# e**e: above this x, logloglog x > 0, so the exponent in L_of is positive.
+_EE = math.exp(math.e)
 
 
 def L_of(x: float) -> float:
     """The subexponential scale exp(log x * logloglog x / loglog x).
 
-    Clamped to 1 where the exponent would be undefined or negative,
-    i.e. for x below exp(exp(e)).
+    Clamped to 1 for x <= e**e, where the exponent would be undefined
+    or negative; at e**e it is 0, so L is continuous.
     """
-    if x <= _EEE:
+    if x <= _EE:
         return 1.0
     loglog = math.log(math.log(x))
     return math.exp(math.log(x) * math.log(loglog) / loglog)

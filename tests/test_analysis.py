@@ -383,10 +383,11 @@ def test_block_rows_equal_examine_rows_up_to_1e5(monkeypatch, policy):
     assert agg == manual
 
 
-WINDOW_STARTS = [10**6 + 1, 10**7 + 1, analysis._BLOCK_MAX_N - 4000]
+WINDOW_STARTS = [10**6 + 1, 10**7 + 1, 3036996499, 3036998499, 10**10 + 1, 10**12 + 1]
 
 
-# The fixed:3 windows keep their bare start as id.
+# The fixed:3 windows keep their bare start as id.  3036998499 straddles
+# isqrt(2**63 - 1) = 3037000499, past which n**2 leaves int64.
 @pytest.mark.parametrize(
     "start,policy",
     [(start, policy) for policy in POLICIES for start in WINDOW_STARTS],
@@ -394,7 +395,6 @@ WINDOW_STARTS = [10**6 + 1, 10**7 + 1, analysis._BLOCK_MAX_N - 4000]
 )
 def test_block_window_equals_examine(start, policy):
     stop = start + 2 * 2000
-    assert stop - 1 <= analysis._BLOCK_MAX_N
     cols = analysis._block_columns(start, stop, 2, policy)
     rows = [analysis.SweepRecord._make(row) for row in zip(*cols)]
     assert_same_records(rows, [examine(n, 2, policy) for n in range(start, stop, 2)])
@@ -412,19 +412,70 @@ def test_block_gives_no_conductor_rows(monkeypatch):
     assert {rec.ell for rec in rows} == {3, 5, 7, None}
 
 
-def test_block_bound_is_isqrt_of_the_int64_range():
-    assert analysis._BLOCK_MAX_N == 3037000499
-    assert analysis._BLOCK_MAX_N**2 < 2**63 <= (analysis._BLOCK_MAX_N + 1) ** 2
+def _stop_at_the_first_chunk(chunks):
+    def first_chunk(args):
+        chunks.append(args[:2])
+        raise LookupError("stop at the first chunk")
+
+    return first_chunk
 
 
-@pytest.mark.parametrize("bound", [0, 4002], ids=["all-scalar", "first-chunk-block"])
-def test_scalar_path_gives_the_same_rows_and_aggregate(monkeypatch, bound):
-    block_rows = []
-    block_agg = sweep(10001, 2, FixedEll(3), record_sink=block_rows.append)
-    monkeypatch.setattr(analysis, "_BLOCK_MAX_N", bound)
-    scalar_rows = []
-    assert sweep(10001, 2, FixedEll(3), record_sink=scalar_rows.append) == block_agg
-    assert_same_records(scalar_rows, block_rows)
+def test_sweep_past_the_sieve_cap_stops_before_any_chunk(monkeypatch, tmp_path, capsys):
+    """isqrt(x_max) above 10**8 would need sieving primes past primes_up_to's cap."""
+    chunks = []
+    monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
+    monkeypatch.setattr(multiprocessing, "get_context", None)  # no pool may start
+    x_max = (10**8 + 1) ** 2
+    assert math.isqrt(x_max - 1) == 10**8 == numth._SIEVE_LIMIT
+    for workers in (1, 2):
+        with pytest.raises(numth.BudgetExceeded):
+            sweep(x_max, 2, FixedEll(3), workers=workers)
+    assert cli.main(["sweep", "--max", str(x_max), "--out", str(tmp_path / "rows.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert chunks == []
+    # The same boundary under a smaller cap, where the sweep just below it is short.
+    monkeypatch.setattr(analysis, "_SIEVE_LIMIT", 100)
+    with pytest.raises(numth.BudgetExceeded):
+        sweep(101**2, 2, FixedEll(3))
+    with pytest.raises(LookupError):
+        sweep(101**2 - 1, 2, FixedEll(3))
+    assert chunks == [(3, 4003)]
+
+
+def test_sweep_makes_its_chunks_lazily(monkeypatch):
+    starts, drawn, chunks = analysis._chunk_ranges(10**9), [], []
+
+    class CountedStarts:
+        def __len__(self):
+            return len(starts)
+
+        def __iter__(self):
+            for start in starts:
+                drawn.append(start)
+                yield start
+
+    monkeypatch.setattr(analysis, "_chunk_ranges", lambda x_max: CountedStarts())
+    monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
+    with pytest.raises(LookupError):
+        sweep(10**9, 2, FixedEll(3))
+    assert drawn == [3] and chunks == [(3, 4003)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_without_a_sink_builds_no_records(monkeypatch, workers):
+    with_sink = sweep(20001, 2, FixedEll(3), workers=workers, record_sink=lambda rec: None)
+
+    class NoRecords:
+        def _make(*args):
+            raise AssertionError("a record was built with no sink")
+
+    monkeypatch.setattr(analysis, "SweepRecord", NoRecords)
+    monkeypatch.setattr(analysis, "_render", NoRecords._make)
+    assert sweep(20001, 2, FixedEll(3), workers=workers) == with_sink
+    assert sweep(20001, 2, FixedEll(3), workers=workers, row_format="csv") == with_sink
+    assert analysis._process_chunk((3, 4003, 2, FixedEll(3), None, False))[0] == []
 
 
 def _record_cells(rec):

@@ -199,7 +199,7 @@ FROZEN_SWEEP_10001 = {
     ("smallest", "json"): "40ddd955398a73f35d8091635ca9a7e222073085488008b90e6743c1fb3ed3cf",
 }
 FROZEN_SUMMARY_10001 = {
-    "fixed:3": "8f64403ed260f7db6d042a56d3a39ba066d13d541694a36cf2d8cd64b8c4ef92",
+    "fixed:3": "5acabe3f68576eec51499eaabc5b95836850aaacd2d2bbbb029b0b4ac699c137",
     "smallest": "391c070149791f298cd33120d803019364511bdf949f6cb56234edb64ce2425e",
 }
 

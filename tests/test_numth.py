@@ -304,9 +304,17 @@ def test_lcm_range_stops_at_the_sieve_cap():
 
 
 def test_L_of_clamps_small_arguments():
-    # below exp(exp(e)) the triple log is not positive, so clamp to 1
+    # up to e**e the exponent is undefined (x <= e) or not positive, so
+    # clamp to 1; at e**e the triple log is 0, so L is continuous there
     assert L_of(10.0) == 1.0
     assert L_of(2.0) == 1.0
+    ee = math.exp(math.e)
+    assert L_of(ee) == 1.0
+    for x in (ee * (1 + 1e-12), ee + 1e-9):
+        assert 1.0 <= L_of(x) < 1.0 + 1e-9
+    # no jump where the old clamp at exp(exp(e)) ~ 3814279 ended
+    assert L_of(3814283) == pytest.approx(L_of(3814275), rel=1e-5)
+    assert L_of(3814275) == pytest.approx(263.73, rel=1e-4)
     x = 10**8
     expected = math.exp(
         math.log(x) * math.log(math.log(math.log(x))) / math.log(math.log(x))
