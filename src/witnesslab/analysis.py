@@ -7,9 +7,12 @@ split of the range and any worker count.  Chunk order only orders the
 records handed to the sink.  Every chunk comes from one engine,
 _block_columns, which sieves it with the odd primes up to its square
 root; the sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as
-sweep checks before any chunk runs.  Chunks are made lazily.  examine,
-the per-n definition, gives count its record and the tests their
-reference.
+sweep checks before any chunk runs.  Chunks are made lazily.  A chunk's
+columns stay numpy arrays: its aggregate is taken from them a column at
+a time, with one log per distinct value of an int64 column, its text
+rows are formatted from them in one call, and SweepRecords are built
+only for a sink that takes them.  examine, the per-n definition, gives
+count its record and the tests their reference.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +43,6 @@ from .numth import (
     _SIEVE_LIMIT,
     BudgetExceeded,
     _iroot,
-    _unity_roots_prime_power,
     factorize,
     is_prime,
     lcm_range,
@@ -108,8 +109,17 @@ class SweepRecord(NamedTuple):
 
 CSV_HEADER = ",".join(SweepRecord._fields) + "\n"
 
-# A chunk's rows in column form: one sequence per SweepRecord field.
+# A chunk's rows in column form: one numpy array per SweepRecord field.
+# n, F, MR and ell are int64, with ell 0 where the row is skipped, and
+# composite is bool; Gal, D, H, k and Str are object columns of Python
+# ints with None where the row is skipped, and skip holds its tag or None.
 _Columns = namedtuple("_Columns", SweepRecord._fields)
+
+
+def _records(cols: _Columns) -> list[SweepRecord]:
+    """The rows of cols as SweepRecords of Python ints, bools and None."""
+    cells = cols._replace(ell=np.where(cols.ell > 0, cols.ell, None))
+    return list(map(SweepRecord._make, zip(*(col.tolist() for col in cells))))
 
 
 # A log sum is held exactly as a count of 2**-53 units.  Each addend is
@@ -126,12 +136,28 @@ def _log_units(v: float) -> int:
     return int(scaled)
 
 
+def _distinct(col: np.ndarray) -> tuple[list[int], list[int]]:
+    """The distinct values of an int64 column and the count of each, as lists of ints."""
+    values, counts = np.unique(col, return_counts=True)
+    return values.tolist(), counts.tolist()
+
+
 def _log_units_sum(values, scale: int = 1) -> int:
-    """Sum of _log_units(scale * math.log(v)) over values, in one pass."""
+    """Sum of _log_units(scale * math.log(v)) over values.
+
+    An int64 array takes one log per distinct value, whose units are
+    then counted as often as the value occurs; that is exact, since each
+    addend is a whole number of units.  Any other iterable, such as an
+    object column with values past int64, takes one log per value.
+    """
+    counts = None
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        values, counts = _distinct(values)
     units = np.fromiter(map(math.log, values), dtype=np.float64) * scale * _LOG_UNIT
     if not (np.isfinite(units).all() and (units == np.trunc(units)).all()):
         raise ValueError("a log sum addend is not a whole number of 2**-53 units")
-    return sum(map(int, units.tolist()))
+    units = map(int, units.tolist())
+    return sum(units) if counts is None else sum(map(operator.mul, units, counts))
 
 
 @dataclass
@@ -144,7 +170,8 @@ class SweepAggregate:
     bounds); Gal and Str additionally need the conductor, so they run
     over covered composites.  The log sums feed geometric means: F and
     MR**r accumulate over every visited n, H over covered n, each in
-    units of 2**-53 (see _log_units).
+    units of 2**-53 (see _log_units).  A sweep chunk adds its rows with
+    one log per distinct F and MR (see _log_units_sum).
     """
 
     rounds: int = 0
@@ -276,7 +303,7 @@ def _exact_quotient(numerator: np.ndarray, divisor: np.ndarray) -> np.ndarray:
 
 
 def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
-    """The records of the odd n in [start, stop), from numpy columns.
+    """The columns (see _Columns) of the odd n in [start, stop).
 
     These are examine's closed forms, taken over (row, prime) pairs
     instead of one n at a time.  The odd primes up to isqrt(stop - 1)
@@ -326,19 +353,21 @@ def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
     square = np.add.reduceat(e & 1, starts) == 0
     ell, skip = _block_conductors(n, square, policy)
     gal, relaxed, h, k = _block_conductor_counts(n, rows, p, w, ell)
-    mr = MR.tolist()
+    covered = ell > 0
+    strong = np.full(size, None, dtype=object)
+    strong[covered] = MR[covered].astype(object) ** r * gal[covered]
     return _Columns(
-        n=n.tolist(),
-        composite=(np.add.reduceat(e, starts) > 1).tolist(),
-        F=product(np.gcd(p_1, n[rows] - 1)).tolist(),
-        MR=mr,
+        n=n,
+        composite=np.add.reduceat(e, starts) > 1,
+        F=product(np.gcd(p_1, n[rows] - 1)),
+        MR=MR,
         Gal=gal,
         D=relaxed,
         H=h,
         k=k,
-        Str=[None if g is None else m**r * g for m, g in zip(mr, gal)],
-        ell=np.where(ell > 0, ell, None).tolist(),
-        skip=skip.tolist(),
+        Str=strong,
+        ell=ell,
+        skip=skip,
     )
 
 
@@ -374,8 +403,9 @@ def _block_conductors(n: np.ndarray, square: np.ndarray, policy) -> tuple[np.nda
 
 def _block_conductor_counts(
     n: np.ndarray, rows: np.ndarray, p: np.ndarray, w: np.ndarray, ell: np.ndarray
-) -> list[list]:
-    """Gal, D, H and k of the rows with a conductor (ell > 0), None elsewhere.
+) -> list[np.ndarray]:
+    """Gal, D, H and k of the rows with a conductor (ell > 0), None elsewhere,
+    as object columns of Python ints.
 
     A row is narrow when n**d < 2**63 (d = ell - 1): each local term and
     product is then at most n**d, so all of them are int64.  The other
@@ -393,7 +423,7 @@ def _block_conductor_counts(
             counts = _local_counts(n[rows[pairs]], p[pairs], ell[rows[pairs]], w[part], exact)
             for column, count in zip(columns, counts):
                 column[part] = count
-    return [column.tolist() for column in columns]
+    return columns
 
 
 def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, exact: bool) -> tuple:
@@ -470,24 +500,25 @@ def _pow_mod(x: np.ndarray, e: np.ndarray, modulus: np.ndarray) -> np.ndarray:
 
 def _aggregate(cols: _Columns, r: int) -> SweepAggregate:
     """add_record folded over the rows of cols, a column at a time."""
-    covered = [skip is None for skip in cols.skip]
-    covered_composite = [c and comp for c, comp in zip(covered, cols.composite)]
-    count_covered = sum(covered)
+    composite = cols.composite
+    covered = cols.ell > 0
+    covered_composite = covered & composite
+    count_covered = int(np.count_nonzero(covered))
     return SweepAggregate(
         rounds=r,
-        x=max(cols.n),
+        x=int(cols.n.max()),
         count_visited=len(cols.n),
-        count_composite=sum(cols.composite),
+        count_composite=int(np.count_nonzero(composite)),
         count_covered=count_covered,
-        count_covered_composite=sum(covered_composite),
+        count_covered_composite=int(np.count_nonzero(covered_composite)),
         count_skipped=len(cols.n) - count_covered,
-        sum_F=sum(compress(cols.F, cols.composite)),
-        sum_MR_r=sum(mr**r for mr in compress(cols.MR, cols.composite)),
-        sum_Gal=sum(compress(cols.Gal, covered_composite)),
-        sum_Str=sum(compress(cols.Str, covered_composite)),
+        sum_F=sum(cols.F[composite].tolist()),
+        sum_MR_r=sum(mr**r * count for mr, count in zip(*_distinct(cols.MR[composite]))),
+        sum_Gal=sum(cols.Gal[covered_composite].tolist()),
+        sum_Str=sum(cols.Str[covered_composite].tolist()),
         sum_log_F=_log_units_sum(cols.F),
         sum_log_MR_r=_log_units_sum(cols.MR, r),
-        sum_log_H=_log_units_sum(compress(cols.H, covered)),
+        sum_log_H=_log_units_sum(cols.H[covered]),
     )
 
 
@@ -503,24 +534,35 @@ def _render(cols: _Columns, row_format: str) -> str:
     A CSV line is what csv.writer writes for the record with booleans
     as 1/0 and None as an empty cell; a JSON line is the record's
     json.dumps with separators (",", ":").  Skip tags are plain words,
-    so neither format needs quoting or escapes.
+    so neither format needs quoting or escapes.  The cells of every
+    row go into one flat list, a column at a time, and the chunk is
+    formatted by one % of the row template repeated.
     """
     as_csv = row_format == "csv"
     null = "" if as_csv else "null"
-    truth = ("0", "1") if as_csv else ("false", "true")
-    n, composite, *counts, skip = cols
-    cells = [
-        map(str, n),
-        [truth[c] for c in composite],
-        *([null if v is None else str(v) for v in col] for col in counts),
-        [null if tag is None else tag if as_csv else f'"{tag}"' for tag in skip],
-    ]
-    return "".join(map(_ROW_TEMPLATES[row_format].__mod__, zip(*cells)))
+    truth = np.array(["0", "1"] if as_csv else ["false", "true"], dtype=object)
+    rows, width = len(cols.n), len(cols)
+    skipped = cols.ell == 0
+    flat = [null] * (rows * width)
+    flat[0::width] = cols.n.tolist()
+    flat[1::width] = truth[cols.composite.view(np.uint8)].tolist()
+    flat[2::width] = cols.F.tolist()
+    flat[3::width] = cols.MR.tolist()
+    for j, col in enumerate((cols.Gal, cols.D, cols.H, cols.k, cols.Str, cols.ell), start=4):
+        cells = col.astype(object)
+        cells[skipped] = null
+        flat[j::width] = cells.tolist()
+    tags = cols.skip.tolist()
+    quoted = {tag: null if tag is None else tag if as_csv else f'"{tag}"' for tag in set(tags)}
+    flat[10::width] = map(quoted.__getitem__, tags)
+    return (_ROW_TEMPLATES[row_format] * rows) % tuple(flat)
 
 
 def render_records(records, row_format: str = "csv") -> str:
     """SweepRecords as the text lines a sweep writes ("csv" or "json")."""
-    return _render(_Columns._make(zip(*records)), row_format)
+    n, composite, *counts, ell, skip = (np.array(col, dtype=object) for col in zip(*records))
+    ell[np.equal(ell, None)] = 0
+    return _render(_Columns(n, composite.astype(bool), *counts, ell, skip), row_format)
 
 
 def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
@@ -535,10 +577,28 @@ def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
     if not has_sink:
         items = []
     elif row_format is None:
-        items = list(map(SweepRecord._make, zip(*cols)))
+        items = _records(cols)
     else:
         items = [_render(cols, row_format)]
     return items, _aggregate(cols, r)
+
+
+def check_sweep_args(x_max: int, r: int, workers: int, row_format: str | None) -> None:
+    """Raise what sweep would for these arguments, before it runs anything.
+
+    ValueError for a bad range, round count, worker count or row format;
+    BudgetExceeded when isqrt(x_max) is past the sieve cap.
+    """
+    if x_max < 3:
+        raise ValueError("x_max must be >= 3")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if row_format not in (None, "csv", "json"):
+        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
+    if math.isqrt(x_max) > _SIEVE_LIMIT:
+        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
 
 
 def sweep(
@@ -557,19 +617,10 @@ def sweep(
     "json" it gets each chunk's rows as one text of lines (the CSV
     without its header, CSV_HEADER).  The aggregate's sums are exact, so
     it does not depend on the chunking or the worker count.  No more
-    workers start than there are chunks.  Raises BudgetExceeded before
-    any chunk runs when isqrt(x_max) is past the sieve cap.
+    workers start than there are chunks.  check_sweep_args checks the
+    arguments before any chunk runs.
     """
-    if x_max < 3:
-        raise ValueError("x_max must be >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if row_format not in (None, "csv", "json"):
-        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
-    if math.isqrt(x_max) > _SIEVE_LIMIT:
-        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
+    check_sweep_args(x_max, r, workers, row_format)
     starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
     has_sink = record_sink is not None
     chunk_args = ((a, min(a + span, x_max + 1), r, policy, row_format, has_sink) for a in starts)
@@ -592,15 +643,21 @@ def _reduce(results, r: int, record_sink) -> SweepAggregate:
     return total
 
 
-def _prime_power_terms(bound: int):
-    """Yield (p, j, s=p**j) for all prime powers s <= bound."""
-    for p in primes_up_to(bound):
-        s = p
-        j = 1
-        while s <= bound:
-            yield p, j, s
-            s *= p
-            j += 1
+def _prime_power_columns(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, s, log p) for all prime powers s = p**j <= bound, as columns.
+
+    log p is math.log of each prime, never np.log, whose rounding may
+    differ.
+    """
+    primes = primes_up_to(bound)
+    p = s = np.array(primes, dtype=np.int64)
+    log_p = np.array(list(map(math.log, primes)))
+    columns = []
+    while len(p):
+        columns.append((p, s, log_p))
+        more = s <= bound // p
+        p, s, log_p = p[more], s[more] * p[more], log_p[more]
+    return tuple(np.concatenate(column) for column in zip(*columns))
 
 
 def _series_tail(bound: int) -> float:
@@ -620,23 +677,27 @@ def eval_c1(bound: int = 10**5) -> tuple[float, float]:
 
 
 def _series_sums(d: int, bound: int) -> tuple[float, float]:
-    """eval_c1's and eval_c3's values from one pass over the prime powers.
+    """eval_c1's and eval_c3's values, from columns over the prime powers.
 
-    A C3 term is f * f * log(p) / den, evaluated left to right: f * f
-    times the C1 term would round differently and change the bounds
-    table's bytes.
+    f is numth._unity_roots_prime_power(p, j, d): gcd(d, phi(s)), but
+    gcd(d, 2) * gcd(d, 2**(j - 2)) for s = 2**j, j >= 3.  A C3 term is
+    f * f * log(p) / den, evaluated left to right: f * f times the C1
+    term would round differently and change the bounds table's bytes.
+    Every term rounds as the float arithmetic of one prime power would,
+    and fsum is exact in any order.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    c1_terms, c3_terms = [], []
-    for p, j, s in _prime_power_terms(bound):
-        f = _unity_roots_prime_power(p, j, d)
-        log_p, den = math.log(p), s * (s - s // p)
-        c1_terms.append(log_p / den)
-        c3_terms.append(f * f * log_p / den)
-    return math.fsum(c1_terms), math.fsum(c3_terms)
+    p, s, log_p = _prime_power_columns(bound)
+    phi = s - s // p
+    # gcd(d, phi) = gcd(d mod phi, phi), taken in Python ints past int64.
+    f = np.gcd(d if d <= _INT64_MAX else (d % phi.astype(object)).astype(np.int64), phi)
+    two = (p == 2) & (s >= 8)
+    f[two] = math.gcd(d, 2) * np.gcd(f[two], s[two] // 4)  # 2**(j - 2) divides phi
+    den = s * phi
+    return math.fsum((log_p / den).tolist()), math.fsum((f * f * log_p / den).tolist())
 
 
 def eval_c3(d: int, bound: int = 10**5) -> tuple[float, float]:

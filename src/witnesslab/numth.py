@@ -1,6 +1,7 @@
 """Elementary number-theoretic utilities.
 
-Everything here works on plain Python integers.  Factorization is
+Everything here takes and returns plain Python integers; only the
+sieve in primes_up_to runs on a numpy array.  Factorization is
 trial division by a cached prime table, then Pollard rho splitting
 under a budget of _RHO_BUDGET rho updates per call.  Rho needs about
 sqrt(p) updates to split off a prime p, so an n whose second-largest
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+
+import numpy as np
 
 
 class NotCoprime(ValueError):
@@ -39,18 +42,20 @@ _PSI_13 = 3317044064679887385961981
 
 
 def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, by sieve of Eratosthenes: limit + 1 bytes, so
-    above _SIEVE_LIMIT it raises BudgetExceeded before allocating."""
+    """All primes <= limit, as Python ints, by a sieve of Eratosthenes
+    over the odd numbers: limit / 2 bytes, so above _SIEVE_LIMIT it
+    raises BudgetExceeded before allocating."""
     if limit > _SIEVE_LIMIT:
         raise BudgetExceeded(f"sieve capped at {_SIEVE_LIMIT}, got {limit}")
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray((limit - p * p) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return [2, *(2 * np.flatnonzero(odd) + 1).tolist()]
 
 
 @lru_cache(maxsize=None)

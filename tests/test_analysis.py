@@ -395,9 +395,18 @@ WINDOW_STARTS = [10**6 + 1, 10**7 + 1, 3036996499, 3036998499, 10**10 + 1, 10**1
 )
 def test_block_window_equals_examine(start, policy):
     stop = start + 2 * 2000
-    cols = analysis._block_columns(start, stop, 2, policy)
-    rows = [analysis.SweepRecord._make(row) for row in zip(*cols)]
+    rows = analysis._records(analysis._block_columns(start, stop, 2, policy))
     assert_same_records(rows, [examine(n, 2, policy) for n in range(start, stop, 2)])
+
+
+@pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()], ids=["fixed3", "smallest"])
+@pytest.mark.parametrize("r", [0, 2, 300])
+def test_chunk_aggregate_equals_add_record_over_its_records(policy, r):
+    cols = analysis._block_columns(3, 4003, r, policy)
+    manual = SweepAggregate(rounds=r)
+    for rec in analysis._records(cols):
+        manual.add_record(rec)
+    assert analysis._aggregate(cols, r) == manual
 
 
 def test_block_gives_no_conductor_rows(monkeypatch):
@@ -528,9 +537,21 @@ def test_block_checks_that_k_is_integral():
         analysis._exact_quotient(big, np.array([7, 7], dtype=object))
 
 
+def _per_row_log_units(values, scale):
+    return sum(analysis._log_units(scale * math.log(v)) for v in values)
+
+
+@pytest.mark.parametrize("scale", [0, 1, 3, 3000])
+def test_log_sums_by_distinct_value_equal_the_per_row_sums(scale):
+    repeats = np.array([35, 4, 1, 35, 2**62 + 1, 4, 35, 1, 9, 2**63 - 1] * 3, dtype=np.int64)
+    past_int64 = np.array([2**63, 35, 10**400, 2**63, 1, 10**400, 7], dtype=object)
+    for values in (repeats, past_int64, repeats[:1], repeats[:0]):
+        assert analysis._log_units_sum(values, scale) == _per_row_log_units(values.tolist(), scale)
+
+
 def test_block_log_sums_refuse_a_value_that_would_truncate():
     values = [35, 4, 1, 10**40]
-    assert analysis._log_units_sum(values, 3) == sum(analysis._log_units(3 * math.log(v)) for v in values)
+    assert analysis._log_units_sum(values, 3) == _per_row_log_units(values, 3)
     with pytest.raises(ValueError):
         analysis._log_units(math.log(1.1))
     with pytest.raises(ValueError):
@@ -579,6 +600,27 @@ def test_eval_c3_term_by_term():
     # s = 3, d = 2 by hand: 2 square roots of 1 mod 3
     inc = eval_c3(2, 3)[0] - eval_c3(2, 2)[0]
     assert inc == pytest.approx(4 * math.log(3) / 6, rel=1e-12)
+
+
+def _series_sums_by_loop(d, bound):
+    """The series sums as one loop over the prime powers: the reference."""
+    c1_terms, c3_terms = [], []
+    for p in primes_up_to(bound):
+        s, j = p, 1
+        while s <= bound:
+            f = numth._unity_roots_prime_power(p, j, d)
+            log_p, den = math.log(p), s * (s - s // p)
+            c1_terms.append(log_p / den)
+            c3_terms.append(f * f * log_p / den)
+            s, j = s * p, j + 1
+    return math.fsum(c1_terms), math.fsum(c3_terms)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 8, 9, 16, 1000, 10**5])
+def test_series_columns_equal_the_loop_bit_for_bit(bound):
+    # Bounds 8 and 16 reach 2**j with j >= 3, whose f has its own rule.
+    for d in (1, 2, 3, 4, 6, 10, 12, 28, 2**64 * 3 * 5 * 7):
+        assert analysis._series_sums(d, bound) == _series_sums_by_loop(d, bound), d
 
 
 def test_series_values_are_frozen_bit_for_bit():

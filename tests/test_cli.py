@@ -310,6 +310,17 @@ def test_sweep_write_failure_is_an_error_line():
     assert "Traceback" not in proc.stderr
 
 
+def test_rejected_sweep_leaves_out_untouched(tmp_path, capsys):
+    """The arguments are checked before --out is opened, which would truncate it."""
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"precious\n")
+    assert cli.main(["sweep", "--max", str(10**17), "--out", str(out)]) == 1
+    assert out.read_bytes() == b"precious\n"
+    captured = capsys.readouterr()
+    assert len(_error_lines(captured.err)) == 1 == len(captured.err.splitlines())
+    assert captured.out == ""
+
+
 def test_constants_bound_above_sieve_cap_exits_1():
     proc = run_cli("constants", "--bound", "100000001")
     assert proc.returncode == 1

@@ -28,6 +28,15 @@ def test_primes_up_to_small():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 9, 25, 10**4, 10**5])
+def test_primes_up_to_matches_sympy(limit):
+    sympy = pytest.importorskip("sympy")
+    primes = primes_up_to(limit)
+    assert type(primes) is list
+    assert all(type(p) is int for p in primes)
+    assert primes == list(sympy.primerange(limit + 1))
+
+
 def test_primes_up_to_caps_before_allocating():
     with pytest.raises(BudgetExceeded):
         primes_up_to(10**8 + 1)

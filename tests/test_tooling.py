@@ -1,20 +1,26 @@
-"""bench/tracer.py names package functions as strings; each must still resolve.
+"""bench/ names package functions as strings and pins sweep digests; each must still hold.
 
 A name deleted from the package would otherwise break `bench/run.py
---trace 1` only when the benchmark runs.
+--trace 1`, and a change to the sweep rows its digest check, only when
+the benchmark runs.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
+import pytest
+
 import witnesslab
-from witnesslab import analysis
+from witnesslab import analysis, cli
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 def test_every_traced_name_resolves():
@@ -48,6 +54,21 @@ def test_sweep_bindings_the_tracer_wraps():
     finally:
         installed.restore()
     assert analysis.sweep is sweep and analysis._process_chunk is chunk
+
+
+@pytest.mark.parametrize("workload", ["sweep-fixed3", "sweep-smallest-w2"])
+def test_the_benchmark_sweep_digests_hold(monkeypatch, tmp_path, capsys, workload):
+    """bench/run.py checks each sweep's --out bytes against a pinned sha256;
+    a change to the rows fails here before it fails the benchmark."""
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    wl = run.WORKLOADS[workload]
+    out = tmp_path / "sweep.csv"
+    assert cli.main([*wl.argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == wl.sha256
 
 
 def test_the_oracles_the_benchmark_checks_with_resolve():
