@@ -126,7 +126,7 @@ def cmd_count(args) -> int:
 
 def cmd_sweep(args) -> int:
     # A rejected run must fail before open() truncates --out.
-    analysis.check_sweep_args(args.max, args.rounds, args.workers, args.format)
+    analysis.check_sweep_args(args.max, args.rounds, args.ell, args.workers, args.format)
     try:
         handle = open(args.out, "w", newline="")
     except OSError as exc:

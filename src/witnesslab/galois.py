@@ -58,9 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numth
 from .numth import BudgetExceeded, Factorization, _factored, is_prime, mult_order
-
-_BRUTE_LIMIT = 10**6
 
 DEFAULT_ELL_MAX = 2000
 
@@ -181,15 +180,8 @@ class RingDescriptor:
         coeffs += [0] * (self.d - len(coeffs))
         return tuple(c % self.n for c in coeffs)
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.d
-
     def one(self) -> tuple[int, ...]:
         return self.element([1])
-
-    def omega(self) -> tuple[int, ...]:
-        """The image of X, a primitive ell-th root of unity in S."""
-        return self.element([0, 1])
 
 
 class KroneckerLayout(NamedTuple):
@@ -511,8 +503,8 @@ def brute_Gal(n: int, ell: int) -> int:
     R = RingDescriptor(n, ell)
     d = R.d
     total = n**d
-    if total > _BRUTE_LIMIT:
-        raise BudgetExceeded(f"{n}**{d} elements exceed {_BRUTE_LIMIT}")
+    if total > numth._BRUTE_LIMIT:
+        raise BudgetExceeded(f"{n}**{d} elements exceed {numth._BRUTE_LIMIT}")
     count = 0
     for low in range(0, total, _BRUTE_BLOCK):
         index = np.arange(low, min(low + _BRUTE_BLOCK, total), dtype=np.int64)

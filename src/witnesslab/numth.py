@@ -1,15 +1,18 @@
-"""Elementary number-theoretic utilities.
+"""Elementary number-theoretic utilities and the package's caps.
 
-Everything here takes and returns plain Python integers; only the
-sieve in primes_up_to runs on a numpy array.  Factorization is
-trial division by a cached prime table, then Pollard rho splitting
-under a budget of _RHO_BUDGET rho updates per call.  Rho needs about
-sqrt(p) updates to split off a prime p, so an n whose second-largest
-prime factor has up to about 40 bits fits (psi_13, two 41-bit primes,
-takes 1.8 million updates); larger ones raise BudgetExceeded instead
-of running for hours.  Trial division proves prime any factor below
-p**2, p the last trial prime reached; is_prime certifies the larger
-ones.
+Everything here takes and returns plain Python integers except two
+numpy kernels: the sieve _odd_primes, and _pow_mod, the one vectorised
+modular power, which the sweep's block engine and the brute_F and
+brute_MR oracles share.  The caps are _SIEVE_LIMIT on the sieve,
+_BRUTE_LIMIT on every enumeration oracle (read when it is called) and
+_RHO_BUDGET on factorization.  Factorization is trial division by a
+cached prime table, then Pollard rho splitting under a budget of
+_RHO_BUDGET rho updates per call.  Rho needs about sqrt(p) updates to
+split off a prime p, so an n whose second-largest prime factor has up
+to about 40 bits fits (psi_13, two 41-bit primes, takes 1.8 million
+updates); larger ones raise BudgetExceeded instead of running for
+hours.  Trial division proves prime any factor below p**2, p the last
+trial prime reached; is_prime certifies the larger ones.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ class BudgetExceeded(RuntimeError):
 
 _TRIAL_BOUND = 10_000
 _SIEVE_LIMIT = 10**8
+# Elements an enumeration oracle may visit: units mod n for brute_F and
+# brute_MR, all n**(ell-1) elements of S for brute_Gal.
+_BRUTE_LIMIT = 10**6
 
 # Miller-Rabin to the first 13 prime bases is deterministic below
 # psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
@@ -41,21 +47,47 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """All primes <= limit, as Python ints, by a sieve of Eratosthenes
-    over the odd numbers: limit / 2 bytes, so above _SIEVE_LIMIT it
-    raises BudgetExceeded before allocating."""
+def _odd_primes(limit: int) -> np.ndarray:
+    """The odd primes <= limit as an int64 array, by a sieve of
+    Eratosthenes over the odd numbers: limit / 2 bytes, so above
+    _SIEVE_LIMIT it raises BudgetExceeded before allocating."""
     if limit > _SIEVE_LIMIT:
         raise BudgetExceeded(f"sieve capped at {_SIEVE_LIMIT}, got {limit}")
-    if limit < 2:
-        return []
+    if limit < 3:
+        return np.zeros(0, dtype=np.int64)
     odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
     odd[0] = False
     for i in range(1, (math.isqrt(limit) + 1) // 2):
         if odd[i]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = False
-    return [2, *(2 * np.flatnonzero(odd) + 1).tolist()]
+    return (2 * np.flatnonzero(odd) + 1).astype(np.int64, copy=False)
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes <= limit, as Python ints; _odd_primes gives the odd ones."""
+    return [2, *_odd_primes(limit).tolist()] if limit >= 2 else []
+
+
+def _pow_mod(x: np.ndarray, e, modulus) -> np.ndarray:
+    """x**e % modulus elementwise (x < modulus, e >= 1), left to right.
+
+    e is an int, the same for every element, or an int64 array.  Each
+    product is at most min(modulus, x**i) * min(modulus, x**j) with
+    i + j <= e, so it fits int64 where modulus <= isqrt(2**63 - 1) or
+    x**e < 2**63.
+    """
+    # An int e takes a plain if per bit: sent through np.where as a 0-d
+    # array, it made brute_F and brute_MR 1.3x slower.
+    shared = isinstance(e, int)
+    result = np.ones_like(x)
+    for bit in reversed(range((e if shared else int(e.max(initial=0))).bit_length())):
+        result = result * result % modulus
+        if not shared:
+            result = result * np.where(e >> bit & 1, x, 1) % modulus
+        elif e >> bit & 1:
+            result = result * x % modulus
+    return result
 
 
 @lru_cache(maxsize=None)

@@ -38,10 +38,6 @@ class StrongerVerdict:
     outcome: str
     evidence: tuple | None = None
 
-    @property
-    def probably_prime(self) -> bool:
-        return self.outcome == PROBABLY_PRIME
-
 
 def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> StrongerVerdict:
     """Run r Miller-Rabin rounds and one Galois round on odd n >= 3.
@@ -100,6 +96,10 @@ def mc_density(
     (count_MR/phi)**r * count_Gal/unit_count.  Reproducible for a
     fixed seed.
     """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    if r < 0:
+        raise ValueError("r must be >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     R = RingDescriptor(n, ell)

@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, two_adic_split
+from . import numth
+from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _pow_mod, two_adic_split
 from .rng import CounterRng, draw_int
-
-_BRUTE_LIMIT = 10**6
 
 
 def fermat_witness(n: int, a: int) -> bool:
@@ -88,22 +87,10 @@ def count_MR(n: int | Factorization) -> int:
     return (1 + ((1 << (v * w)) - 1) // ((1 << w) - 1)) * s
 
 
-def _vec_powmod(base: np.ndarray, exponent: int, n: int) -> np.ndarray:
-    """Elementwise base**exponent mod n on int64 arrays (n <= 10**6)."""
-    result = np.ones_like(base)
-    acc = base % n
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * acc % n
-        acc = acc * acc % n
-        e >>= 1
-    return result
-
-
 def _unit_bases(n: int) -> np.ndarray:
-    if n > _BRUTE_LIMIT:
-        raise BudgetExceeded(f"enumeration capped at {_BRUTE_LIMIT}, got {n}")
+    """The units in [1, n), as int64: below isqrt(2**63 - 1), _pow_mod is exact mod n."""
+    if n > numth._BRUTE_LIMIT:
+        raise BudgetExceeded(f"enumeration capped at {numth._BRUTE_LIMIT}, got {n}")
     a = np.arange(1, n, dtype=np.int64)
     return a[np.gcd(a, n) == 1]
 
@@ -113,7 +100,7 @@ def brute_F(n: int) -> int:
     if n < 3:
         raise ValueError("n must be >= 3")
     a = _unit_bases(n)
-    return int(np.count_nonzero(_vec_powmod(a, n - 1, n) == 1))
+    return int(np.count_nonzero(_pow_mod(a, n - 1, n) == 1))
 
 
 def brute_MR(n: int) -> int:
@@ -122,7 +109,7 @@ def brute_MR(n: int) -> int:
         raise ValueError("n must be odd and >= 3")
     a = _unit_bases(n)
     k, m = two_adic_split(n - 1)
-    x = _vec_powmod(a, m, n)
+    x = _pow_mod(a, m, n)
     good = x == 1
     for _ in range(k):
         good |= x == n - 1

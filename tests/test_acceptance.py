@@ -33,7 +33,7 @@ from witnesslab.galois import (
     local_data,
 )
 from witnesslab.numth import euler_phi, factorize, is_prime, primes_up_to
-from witnesslab.product import count_Str, mc_density, stronger_test
+from witnesslab.product import PROBABLY_PRIME, count_Str, mc_density, stronger_test
 from witnesslab.witness import brute_F, brute_MR, count_F, count_MR, is_carmichael
 
 X_FULL = 100_000
@@ -169,7 +169,7 @@ def test_c10_prime_robustness():
         if p == 2:
             continue
         for trial in range(50):
-            assert stronger_test(p, 2, rng=trial).probably_prime, (p, trial)
+            assert stronger_test(p, 2, rng=trial).outcome == PROBABLY_PRIME, (p, trial)
 
 
 def test_c11_sweep_and_bounds(sweep_runs):

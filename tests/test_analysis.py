@@ -146,6 +146,17 @@ def test_examine_skip_reasons():
     assert rec.Gal is None and not rec.covered
 
 
+@pytest.mark.parametrize("n,r", [(1, 2), (-5, 2), (34, 2), (35, -1)])
+def test_examine_rejects_bad_inputs_before_factoring(monkeypatch, n, r):
+    def no_factoring(n):
+        raise AssertionError("examine factored a rejected input")
+
+    monkeypatch.setattr(analysis, "factorize", no_factoring)
+    message = "r must be >= 0" if n == 35 else "n must be odd and >= 3"
+    with pytest.raises(ValueError, match=message):
+        examine(n, r, FixedEll(3))
+
+
 def test_examine_smallest_policy_searches():
     rec = examine(7, 2, SmallestEll())
     assert rec.ell == 5 and rec.covered
@@ -348,6 +359,19 @@ def test_sweep_rejects_an_unknown_row_format():
         sweep(99, 2, FixedEll(3), record_sink=print, row_format="xml")
 
 
+@pytest.mark.parametrize("policy", [3, "fixed:3", None])
+def test_sweep_with_an_unknown_policy_stops_before_any_chunk(monkeypatch, policy):
+    chunks = []
+    monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
+    monkeypatch.setattr(multiprocessing, "get_context", None)  # no pool may start
+    for workers in (1, 2):
+        with pytest.raises(TypeError, match="unknown conductor policy"):
+            sweep(99, 2, policy, workers=workers)
+        with pytest.raises(TypeError, match="unknown conductor policy"):
+            sweep(99, 2, policy, workers=workers, record_sink=print, row_format="csv")
+    assert chunks == []
+
+
 # -- block engine -------------------------------------------------------------
 
 
@@ -484,7 +508,7 @@ def test_sweep_without_a_sink_builds_no_records(monkeypatch, workers):
     monkeypatch.setattr(analysis, "_render", NoRecords._make)
     assert sweep(20001, 2, FixedEll(3), workers=workers) == with_sink
     assert sweep(20001, 2, FixedEll(3), workers=workers, row_format="csv") == with_sink
-    assert analysis._process_chunk((3, 4003, 2, FixedEll(3), None, False))[0] == []
+    assert analysis._process_chunk((3, 4003, 2, FixedEll(3), None))[0] == []
 
 
 def _record_cells(rec):
@@ -518,8 +542,8 @@ def test_block_checks_the_sieved_factorization(monkeypatch):
     with pytest.raises(ValueError):
         analysis._split_off(n, np.array([27, 10]))
     # A composite among the sieving primes extracts 9 * 27 from n = 27.
-    real_primes = analysis.primes_up_to
-    monkeypatch.setattr(analysis, "primes_up_to", lambda limit: sorted(real_primes(limit) + [9]))
+    real_primes = analysis._odd_primes
+    monkeypatch.setattr(analysis, "_odd_primes", lambda limit: np.sort(np.append(real_primes(limit), 9)))
     for policy in POLICIES:
         with pytest.raises(ValueError):
             analysis._block_columns(3, 4003, 2, policy)
@@ -757,8 +781,9 @@ def test_compare_bounds_rows():
         "mr-geometric-slope",
         "h-geometric-slope",
     ]
-    assert report.row("gal-mean-lower").empirical == pytest.approx(18456 / 999)
-    assert report.row("gal-mean-lower").reference == pytest.approx(999 ** (15 / 23))
+    row = next(row for row in report.rows if row.label == "gal-mean-lower")
+    assert row.empirical == pytest.approx(18456 / 999)
+    assert row.reference == pytest.approx(999 ** (15 / 23))
 
 
 def test_log_value_formats_as_its_float():
@@ -772,11 +797,11 @@ def test_log_value_formats_as_its_float():
 def test_compare_bounds_past_the_float_range():
     agg = sweep(9999, 100, FixedEll(3))
     report = compare_bounds(agg, 2, 100)
-    row = report.row("mr-mean-lower")
+    row = next(row for row in report.rows if row.label == "mr-mean-lower")
     assert isinstance(row.empirical, analysis._LogValue)
     assert row.empirical.ln == pytest.approx(math.log(agg.sum_MR_r) - math.log(9999), rel=1e-15)
     assert row.reference.ln == pytest.approx((100 - 8 / 23) * math.log(9999), rel=1e-15)
-    assert isinstance(report.row("gal-mean-lower").empirical, float)
+    assert isinstance(next(row for row in report.rows if row.label == "gal-mean-lower").empirical, float)
 
 
 def test_compare_bounds_render_mentions_coverage():
@@ -790,7 +815,7 @@ def test_compare_bounds_r1_has_no_zeta_reference():
     # zeta(r) only converges for r >= 2, so the str upper bound is open at r=1
     agg = sweep(999, 1, FixedEll(3))
     report = compare_bounds(agg, 2, 1)
-    row = report.row("str-mean-upper")
+    row = next(row for row in report.rows if row.label == "str-mean-upper")
     assert row.reference is None or math.isinf(row.reference) or row.note
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from witnesslab import cli, galois, numth, product, witness
+from witnesslab import cli, galois, numth, product
 from witnesslab.galois import NoConductor
 
 EXPECTED_HEADER = "n,composite,F,MR,Gal,D,H,k,Str,ell,skip"
@@ -329,7 +329,7 @@ def test_constants_bound_above_sieve_cap_exits_1():
 
 
 def test_oracle_check_past_brute_budget_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(witness, "_BRUTE_LIMIT", 20)
+    monkeypatch.setattr(numth, "_BRUTE_LIMIT", 20)
     assert cli.main(["oracle-check", "--suite", "f", "--max", "31"]) == 1
     captured = capsys.readouterr()
     assert len(_error_lines(captured.err)) == 1
@@ -341,7 +341,7 @@ def test_oracle_check_gal_past_brute_budget_exits_1(monkeypatch, capsys):
     brute_Gal = galois.brute_Gal
 
     def fast_below_budget(n, ell):
-        if n**2 <= galois._BRUTE_LIMIT:
+        if n**2 <= numth._BRUTE_LIMIT:
             return galois.count_Gal(n, ell)
         return brute_Gal(n, ell)
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from witnesslab import numth
@@ -35,6 +36,57 @@ def test_primes_up_to_matches_sympy(limit):
     assert type(primes) is list
     assert all(type(p) is int for p in primes)
     assert primes == list(sympy.primerange(limit + 1))
+
+
+def test_odd_primes_is_the_int64_tail_of_primes_up_to():
+    for limit in (-3, 0, 2, 3, 30, 10**4 + 7):
+        odd = numth._odd_primes(limit)
+        assert odd.dtype == np.int64
+        assert odd.tolist() == primes_up_to(limit)[1:]
+    with pytest.raises(BudgetExceeded):
+        numth._odd_primes(10**8 + 1)
+
+
+def _pow_mod_matches_pow(x, e, modulus):
+    """_pow_mod on x (a list) against pow; e and modulus are an int or a list."""
+    args = [v if isinstance(v, int) else np.array(v, dtype=np.int64) for v in (x, e, modulus)]
+    got = numth._pow_mod(*args)
+    assert got.dtype == np.int64
+    columns = [[v] * len(x) if isinstance(v, int) else v for v in (x, e, modulus)]
+    assert got.tolist() == list(map(pow, *columns))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_pow_mod_at_the_int64_edge_of_x_to_the_e(d):
+    """x**e < 2**63 keeps every product exact, for any modulus above x."""
+    root = numth._iroot(2**63 - 1, d)
+    assert root**d < 2**63 <= (root + 1) ** d
+    x = [root, root - 1, root // 2, 2]
+    _pow_mod_matches_pow(x, [d, d, d, 1], [2**63 - 1, root**d, root + 1, 3])
+
+
+def test_pow_mod_around_isqrt_of_the_int64_max():
+    edge = math.isqrt(2**63 - 1)
+    # Up to the edge, any x < modulus and any exponent stay exact.
+    for modulus in (edge - 1, edge):
+        _pow_mod_matches_pow([modulus - 1, modulus - 2, 12345, 1], [2**40 + 1, 3, 65537, 7], modulus)
+    # Past it, x**e < 2**63 keeps them exact.
+    for modulus in (edge + 1, edge + 2):
+        _pow_mod_matches_pow([edge, 2**31, 3, 1], [2, 2, 39, 5], modulus)
+
+
+@pytest.mark.parametrize("n", [561, 1105, 999_999])
+def test_pow_mod_with_the_oracles_int_exponents(n):
+    k, m = two_adic_split(n - 1)
+    bases = list(range(1, n, 997 if n > 10**4 else 1))
+    _pow_mod_matches_pow(bases, n - 1, n)
+    _pow_mod_matches_pow(bases, m, n)
+
+
+def test_pow_mod_of_empty_arrays():
+    empty = np.zeros(0, dtype=np.int64)
+    assert numth._pow_mod(empty, empty, empty).tolist() == []
+    assert numth._pow_mod(empty, 560, 561).tolist() == []
 
 
 def test_primes_up_to_caps_before_allocating():

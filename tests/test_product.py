@@ -10,7 +10,7 @@ import pytest
 from witnesslab import product, witness
 from witnesslab.galois import NoConductor, PerfectPower
 from witnesslab.numth import euler_phi, is_prime, primes_up_to
-from witnesslab.product import count_Str, mc_density, stronger_test
+from witnesslab.product import PROBABLY_PRIME, count_Str, mc_density, stronger_test
 from witnesslab.rng import CounterRng, draw_int
 from witnesslab.witness import count_MR
 from witnesslab.galois import count_Gal, unit_count
@@ -42,7 +42,7 @@ def test_stronger_test_seed_sweep_on_composite():
     for seed in range(5):
         v = stronger_test(341, 2, rng=seed)
         assert v.outcome == "composite"
-        assert not v.probably_prime
+        assert v.outcome != PROBABLY_PRIME
 
 
 def test_stronger_test_accepts_counter_rng():
@@ -53,7 +53,7 @@ def test_stronger_test_evidence_structure():
     for n in (35, 341, 561, 1105):
         for seed in range(10):
             v = stronger_test(n, 2, rng=seed)
-            if v.probably_prime:
+            if v.outcome == PROBABLY_PRIME:
                 continue
             kind, detail = v.evidence
             if kind == "factor":
@@ -109,6 +109,17 @@ def test_mc_density_tracks_exact_ratio():
         )
         est, se = mc_density(n, r, ell, 8000, seed=11)
         assert abs(est - exact) <= 3 * max(se, 1e-9), (n, r, ell, est, exact)
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (34, 1), (35, -1)])
+def test_mc_density_rejects_bad_inputs_before_sampling(monkeypatch, n, r):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("mc_density sampled for a rejected input")
+
+    monkeypatch.setattr(product, "CounterRng", no_sampling)
+    message = "r must be >= 0" if r < 0 else "n must be odd and >= 3"
+    with pytest.raises(ValueError, match=message):
+        mc_density(n, r, 3, 50, seed=1)
 
 
 def test_mc_density_different_seeds_differ():
