@@ -7,19 +7,28 @@ split of the range and any worker count.  Chunk order only orders the
 records handed to the sink.  Every chunk comes from one engine,
 _block_columns, which sieves it with the odd primes up to its square
 root; the sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as
-sweep checks before any chunk runs.  Chunks are made lazily.  A chunk's
-columns stay numpy arrays: its aggregate is taken from them a column at
-a time, with one log per distinct value of an int64 column, its text
-rows are formatted from them in one call, and SweepRecords are built
-only for a sink that takes them.  examine, the per-n definition, gives
+sweep checks before any chunk runs.  Chunks are made lazily.  With
+more than one worker, sweep forks its workers with os.fork; each runs
+every workers-th chunk and returns its results through its own pipe,
+read in chunk order.  A worker that dies raises ChildProcessError
+instead of leaving sweep waiting, and every worker is killed and
+reaped before sweep returns or raises.  A chunk's columns stay numpy
+arrays: its aggregate is taken from them a column at a time, with one
+log per distinct value of an int64 column, its text rows are
+formatted from them in one call, and SweepRecords are built only for
+a sink that takes them.  examine, the per-n definition, gives
 count its record and the tests their reference.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
-import multiprocessing
 import operator
+import os
+import pickle
+import signal
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -31,11 +40,11 @@ from . import witness
 from .galois import (
     DEFAULT_ELL_MAX,
     _conductor_counts,
+    _local_residues,
     _residue_failure,
     conductor_failure,
     count_H,
     find_conductor,
-    local_data,
     NoConductor,
     NonIntegral,
 )
@@ -439,20 +448,23 @@ def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, 
     f, m and t as local_data finds them and d = ell - 1, Gal takes
     gcd(n**m - p**t, p**f - 1), D takes gcd(n**d - 1, p**f - 1), H takes
     gcd(n**d - 1, p**d - 1), and k is the product of p**f - 1 over D.
-    local_data runs once per distinct (ell, n mod ell, p mod ell), which
-    is all it reads.  exact says that every row is narrow, so every
-    power reduces in int64; otherwise only the pairs whose modulus is
-    below 2**31 do, and the products are Python ints.
+    They come from local_data's memo, galois._local_residues, once per
+    distinct (n mod ell, ell, p mod ell), which is all it reads, so each
+    process derives a triple once per sweep.  exact says that every row
+    is narrow, so every power reduces in int64; otherwise only the pairs
+    whose modulus is below 2**31 do, and the products are Python ints.
     """
     ells, ell_rank = np.unique(ell, return_inverse=True)
     # One integer key per pair: np.unique over the stacked columns
     # (axis=1) takes ten times as long.
     base = int(min(ells[-1], n.max() + 1))  # above every n % ell and p % ell
     dtype = np.int64 if len(ells) * base * base <= _INT64_MAX else object
-    key = (ell_rank.astype(dtype) * base + n % ell) * base + p % ell
+    n_res, p_res = n % ell, p % ell
+    key = (ell_rank.astype(dtype) * base + n_res) * base + p_res
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    local = [local_data(*args) for args in zip(n[first].tolist(), ell[first].tolist(), p[first].tolist())]
-    f, m, t = np.array([(loc.f, loc.m, loc.t) for loc in local], dtype=np.int64).T[:, group]
+    triples = zip(n_res[first].tolist(), ell[first].tolist(), p_res[first].tolist())
+    local = np.array([_local_residues(*triple) for triple in triples], dtype=np.int64)
+    f, m, t = local.T[[0, 1, 3]][:, group]
     d = ell - 1
     if exact:
         vector_f = vector_d = np.ones(len(p), dtype=bool)
@@ -625,10 +637,75 @@ def sweep(
     workers = min(workers, len(starts))
     if workers == 1:
         return _reduce(map(_process_chunk, chunk_args), r, record_sink)
-    # Leaving the block calls terminate(): on an error in the sink the
-    # workers stop now instead of finishing every queued chunk first.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return _reduce(pool.imap(_process_chunk, chunk_args), r, record_sink)
+    # Closing the results kills and reaps the workers, so on an error in
+    # the sink they stop before the error leaves sweep.
+    with contextlib.closing(_forked_results(chunk_args, workers)) as results:
+        return _reduce(results, r, record_sink)
+
+
+def _forked_results(chunk_args, workers: int):
+    """_process_chunk of each chunk in chunk_args, in order, from forked workers.
+
+    Worker w runs chunks w, w + workers, ... and writes each outcome to
+    its own pipe, so chunk i is read from pipe i mod workers; a worker
+    blocks on its full pipe, about one chunk ahead of the reader.  A
+    chunk's exception is raised at its place in the order, and a pipe
+    that ends before its chunk raises ChildProcessError.  However the
+    generator ends, it kills and reaps every worker it forked.
+    """
+    children = []  # (pid, reader of its pipe)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                for _, reader in children:
+                    reader.close()
+                _serve(itertools.islice(chunk_args, w, None, workers), write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i, args in enumerate(chunk_args):
+            pid, reader = children[i % workers]
+            try:
+                ok, value = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"sweep worker {pid} ended before the chunk at n = {args[0]}") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        # A child is already gone, and waitpid fails, where SIGCHLD is ignored.
+        for pid, reader in children:
+            reader.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _serve(chunk_args, write_fd: int):
+    """Run the chunks in a forked worker, pickling (True, result) or
+    (False, exception) for each into write_fd; stop after an exception.
+
+    Never returns: the worker leaves through os._exit, so it runs no
+    exit handler and flushes none of the buffered handles (the --out
+    file, stdout) it shares with the parent.
+    """
+    try:
+        with open(write_fd, "wb") as pipe:
+            for args in chunk_args:
+                try:
+                    outcome = (True, _process_chunk(args))
+                except Exception as exc:
+                    outcome = (False, exc)
+                pipe.write(pickle.dumps(outcome))
+                pipe.flush()
+                if not outcome[0]:
+                    break
+    finally:
+        os._exit(0)
 
 
 def _reduce(results, r: int, record_sink) -> SweepAggregate:

@@ -1,4 +1,7 @@
+import os
 import re
+
+import pytest
 
 _CRITERION = re.compile(r"test_c(\d+)_(\w+)")
 
@@ -14,3 +17,14 @@ def pytest_runtest_logreport(report):
     num, slug = match.groups()
     status = "PASS" if report.passed else "FAIL"
     print(f"\ncriterion {num} ({slug.replace('_', '-')}): {status}", flush=True)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"a child process was left behind: waitpid gave pid {pid}, status {status}", pytrace=False)

@@ -3,8 +3,11 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing.pool
+import os
+import signal
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -262,25 +265,52 @@ def test_sweep_record_sink_order():
     assert seen == list(range(3, 302, 2))
 
 
-def test_sweep_sink_error_terminates_the_pool(monkeypatch):
-    """A failing sink stops the workers before the error reaches the caller,
-    instead of waiting for every queued chunk."""
-    events = []
-    terminate = multiprocessing.pool.Pool.terminate
+def _record_the_workers(monkeypatch, events):
+    """Patch os.fork, os.kill and os.waitpid to log each worker forked,
+    killed and reaped in events; return the list of forked pids."""
+    forked = []
+    fork, kill, waitpid = os.fork, os.kill, os.waitpid
 
-    def recording_terminate(pool):
-        events.append("terminate")
-        terminate(pool)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def recording_kill(pid, sig):
+        events.append(("kill", pid, sig))
+        kill(pid, sig)
+
+    def recording_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        events.append(("reaped", pid))
+        return reaped
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "kill", recording_kill)
+    monkeypatch.setattr(os, "waitpid", recording_waitpid)
+    return forked
+
+
+def _killed_then_reaped(forked):
+    return [("kill", pid, signal.SIGKILL) for pid in forked] + [("reaped", pid) for pid in forked]
+
+
+def test_sweep_sink_error_terminates_the_pool(monkeypatch):
+    """A failing sink kills and reaps the workers before the error reaches
+    the caller, instead of waiting for every chunk."""
+    events = []
+    forked = _record_the_workers(monkeypatch, events)
 
     def failing_sink(rec):
         raise OSError("sink is full")
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
     try:
         sweep(200001, 2, FixedEll(3), workers=2, record_sink=failing_sink)
     except OSError as exc:
         events.append(str(exc))
-    assert events == ["terminate", "sink is full"]
+    assert len(forked) == 2
+    assert events == _killed_then_reaped(forked) + ["sink is full"]
 
 
 def test_sweep_records_roundtrip():
@@ -291,56 +321,96 @@ def test_sweep_records_roundtrip():
 
 
 def test_sweep_text_sink_error_terminates_the_pool(monkeypatch):
-    """A failing write of a chunk's rendered rows stops the workers too."""
+    """A failing write of a chunk's rendered rows kills and reaps the workers too."""
     events = []
-    terminate = multiprocessing.pool.Pool.terminate
-
-    def recording_terminate(pool):
-        events.append("terminate")
-        terminate(pool)
+    forked = _record_the_workers(monkeypatch, events)
 
     def failing_write(text):
         events.append(text[:8])
         raise OSError("disk is full")
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
     try:
         sweep(200001, 2, FixedEll(3), workers=2, record_sink=failing_write, row_format="csv")
     except OSError as exc:
         events.append(str(exc))
-    assert events == ["3,0,2,2,", "terminate", "disk is full"]
+    assert len(forked) == 2
+    assert events == ["3,0,2,2,", *_killed_then_reaped(forked), "disk is full"]
 
 
 def test_pool_is_no_larger_than_the_work(monkeypatch, tmp_path):
-    sizes = []
-
-    class RecordingPool:
-        """Records its size and runs the chunks in this process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, iterable):
-            return map(fn, iterable)
-
-    class Context:
-        Pool = RecordingPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    forks = _record_the_workers(monkeypatch, [])
     assert cli.main(["sweep", "--max", "10", "--workers", "64", "--out", str(tmp_path / "rows.csv")]) == 0
     assert sweep(10, 2, FixedEll(3), workers=64) == sweep(10, 2, FixedEll(3))
-    assert sizes == []  # 4 odd n make one chunk, run serially
+    assert forks == []  # 4 odd n make one chunk, run serially
     monkeypatch.setattr(analysis, "_CHUNK_ODDS", 7)
     chunks = len(analysis._chunk_ranges(301))
     assert sweep(301, 2, FixedEll(3), workers=64) == sweep(301, 2, FixedEll(3))
+    assert len(forks) == chunks == 22
     assert sweep(301, 2, FixedEll(3), workers=3) == sweep(301, 2, FixedEll(3))
-    assert sizes == [chunks, 3] and chunks == 22
+    assert len(forks) == chunks + 3
+
+
+def test_a_dead_worker_raises_instead_of_hanging():
+    """A worker that dies mid-sweep ends sweep with ChildProcessError naming
+    its chunk, and the CLI with exit 1 and one error line.  The run is a
+    subprocess with a timeout, so that a hang fails this test instead of
+    stopping the suite."""
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from witnesslab import analysis, cli
+
+        chunk = analysis._process_chunk
+
+        def dying_chunk(args):
+            if args[0] == 12003:  # the fourth chunk, the second worker's second
+                os._exit(9)
+            return chunk(args)
+
+        analysis._process_chunk = dying_chunk
+        try:
+            analysis.sweep(20001, 2, analysis.FixedEll(3), workers=2)
+        except ChildProcessError as exc:
+            print(f"raised: {exc}")
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no child left")
+        sys.exit(cli.main(["sweep", "--max", "20001", "--workers", "2", "--out", os.devnull]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=dict(os.environ), timeout=60
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("raised: ") and "n = 12003" in lines[0], proc.stdout
+    assert lines[1:] == ["no child left"], proc.stdout
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "n = 12003" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_a_chunk_error_under_two_workers_follows_the_earlier_rows(monkeypatch, tmp_path, capsys):
+    """A chunk's exception surfaces with its own type after every earlier
+    chunk's rows have reached the sink in order; the CLI exits 1."""
+    monkeypatch.setattr(analysis, "_CHUNK_ODDS", 7)
+    failing = list(analysis._chunk_ranges(301))[5]
+    chunk = analysis._process_chunk
+
+    def over_budget(args):
+        if args[0] == failing:
+            raise numth.BudgetExceeded(f"chunk at {failing} over budget")
+        return chunk(args)
+
+    monkeypatch.setattr(analysis, "_process_chunk", over_budget)
+    seen = []
+    with pytest.raises(numth.BudgetExceeded, match=f"chunk at {failing} over budget"):
+        sweep(301, 2, FixedEll(3), workers=2, record_sink=lambda rec: seen.append(rec.n))
+    assert seen == list(range(3, failing, 2))
+    assert cli.main(["sweep", "--max", "301", "--workers", "2", "--out", str(tmp_path / "rows.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: chunk at {failing} over budget\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -359,11 +429,15 @@ def test_sweep_rejects_an_unknown_row_format():
         sweep(99, 2, FixedEll(3), record_sink=print, row_format="xml")
 
 
+def _no_fork():
+    raise AssertionError("no worker may start")
+
+
 @pytest.mark.parametrize("policy", [3, "fixed:3", None])
 def test_sweep_with_an_unknown_policy_stops_before_any_chunk(monkeypatch, policy):
     chunks = []
     monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
-    monkeypatch.setattr(multiprocessing, "get_context", None)  # no pool may start
+    monkeypatch.setattr(os, "fork", _no_fork)
     for workers in (1, 2):
         with pytest.raises(TypeError, match="unknown conductor policy"):
             sweep(99, 2, policy, workers=workers)
@@ -457,7 +531,7 @@ def test_sweep_past_the_sieve_cap_stops_before_any_chunk(monkeypatch, tmp_path, 
     """isqrt(x_max) above 10**8 would need sieving primes past primes_up_to's cap."""
     chunks = []
     monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
-    monkeypatch.setattr(multiprocessing, "get_context", None)  # no pool may start
+    monkeypatch.setattr(os, "fork", _no_fork)
     x_max = (10**8 + 1) ** 2
     assert math.isqrt(x_max - 1) == 10**8 == numth._SIEVE_LIMIT
     for workers in (1, 2):

@@ -191,7 +191,8 @@ def test_sweep_json_matches_csv(tmp_path):
 
 
 # sha256 of the --out bytes of `sweep --max 10001`, and of its stdout
-# without the out= field: a change to any count, column or format shows.
+# without the out= field, under 1, 2 and 4 workers: a change to any
+# count, column or format shows.
 FROZEN_SWEEP_10001 = {
     ("fixed:3", "csv"): "60f9a96e414a7d867d7c516ab8b84ec5ddb7bc5d527fb1b1a4a6039515364a3c",
     ("fixed:3", "json"): "89b758a97a9419fe9ce1cae086803d63b99a23fa4d1214f854da8baa1f56db98",
@@ -207,11 +208,12 @@ FROZEN_SUMMARY_10001 = {
 @pytest.mark.parametrize("ell,fmt", sorted(FROZEN_SWEEP_10001))
 def test_sweep_rows_frozen(tmp_path, capsys, ell, fmt):
     out = tmp_path / f"rows.{fmt}"
-    argv = ["sweep", "--max", "10001", "--ell", ell, "--format", fmt, "--out", str(out)]
-    assert cli.main(argv) == 0
-    summary = capsys.readouterr().out.replace(f" out={out}", "")
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_SWEEP_10001[ell, fmt]
-    assert hashlib.sha256(summary.encode()).hexdigest() == FROZEN_SUMMARY_10001[ell]
+    for workers in ("1", "2", "4"):
+        argv = ["sweep", "--max", "10001", "--ell", ell, "--format", fmt, "--out", str(out), "--workers", workers]
+        assert cli.main(argv) == 0
+        summary = capsys.readouterr().out.replace(f" out={out}", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_SWEEP_10001[ell, fmt], workers
+        assert hashlib.sha256(summary.encode()).hexdigest() == FROZEN_SUMMARY_10001[ell], workers
 
 
 @pytest.fixture

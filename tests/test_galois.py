@@ -8,6 +8,7 @@ from witnesslab.galois import (
     InvalidConductor,
     NoConductor,
     PerfectPower,
+    PrimeLocalData,
     RingDescriptor,
     brute_Gal,
     cofactor_k,
@@ -411,6 +412,38 @@ def test_local_data_invariants():
                 assert (loc.z * loc.t - 1) % loc.f == 0
                 if loc.f == 1:
                     assert loc.z == loc.t == 0
+
+
+def _derived_local_data(n, ell, p):
+    """local_data from its definition, on n and p themselves."""
+    f = next(k for k in range(1, ell) if pow(p, k, ell) == 1)
+    m = (ell - 1) // f
+    z = next((j for j in range(f) if pow(n, m * j, ell) == p % ell), None)
+    if z is None:
+        return None
+    return PrimeLocalData(p=p, f=f, m=m, z=z, t=pow(z, -1, f) if f > 1 else 0)
+
+
+def test_local_data_memo_equals_the_derivation():
+    """The memo, keyed by (n mod ell, ell, p mod ell), gives every residue
+    triple the unmemoised values with the caller's p; a failure is raised
+    again on every call, since lru_cache keeps no exceptions."""
+    assert galois._local_residues.cache_info().maxsize == galois._LOCAL_CACHE_SIZE < math.inf
+    unmemoised = galois._local_residues.__wrapped__
+    for ell in (3, 5, 7, 11, 13):
+        for n_res in range(1, ell):
+            for p_res in range(1, ell):
+                for n, p in ((n_res, p_res), (n_res + 4 * ell, p_res + 10 * ell), (n_res + 2 * ell, p_res + 6 * ell)):
+                    want = _derived_local_data(n, ell, p)
+                    if want is None:
+                        for _ in range(2):
+                            with pytest.raises(ArithmeticError):
+                                local_data(n, ell, p)
+                            with pytest.raises(ArithmeticError):
+                                unmemoised(n, ell, p)
+                        continue
+                    assert local_data(n, ell, p) == want == PrimeLocalData(p, *unmemoised(n, ell, p))
+                    assert galois._local_residues(n_res, ell, p_res) == unmemoised(n, ell, p)
 
 
 def test_local_data_rejects_p_outside_the_subgroup():

@@ -38,7 +38,7 @@ def test_every_traced_name_resolves():
 
 def test_sweep_bindings_the_tracer_wraps():
     """The tracer also wraps analysis.sweep, finding record_sink as its fifth
-    positional argument, and analysis._process_chunk, the pool's chunk function."""
+    positional argument, and analysis._process_chunk, each worker's chunk function."""
     assert callable(analysis.sweep) and callable(analysis._process_chunk)
     params = list(inspect.signature(analysis.sweep).parameters.values())
     assert params[4].name == "record_sink"
