@@ -32,7 +32,6 @@ from .witness import (
 from .galois import (
     InvalidConductor,
     NoConductor,
-    NonIntegral,
     PerfectPower,
     PrimeLocalData,
     RingDescriptor,

@@ -49,7 +49,6 @@ from .galois import (
     count_H,
     find_conductor,
     NoConductor,
-    NonIntegral,
 )
 from .numth import (
     _SIEVE_LIMIT,
@@ -253,6 +252,8 @@ def examine(n: int, r: int, policy) -> SweepRecord:
         raise ValueError("n must be odd and >= 3")
     if r < 0:
         raise ValueError("r must be >= 0")
+    if not isinstance(policy, (FixedEll, SmallestEll)):
+        raise TypeError(f"unknown conductor policy: {policy!r}")
     fac = factorize(n)
     composite = fac.factors[0][1] > 1 or len(fac.factors) > 1
     f_count = witness.count_F(fac)
@@ -265,13 +266,11 @@ def examine(n: int, r: int, policy) -> SweepRecord:
     elif isinstance(policy, FixedEll):
         skip = conductor_failure(n, policy.ell)
         ell = policy.ell if skip is None else None
-    elif isinstance(policy, SmallestEll):
+    else:  # SmallestEll
         try:
             ell = find_conductor(n, policy.ell_max)
         except NoConductor:
             skip = "no-conductor"
-    else:
-        raise TypeError(f"unknown conductor policy: {policy!r}")
 
     if skip is not None:
         return SweepRecord(n=n, composite=composite, F=f_count, MR=mr_count, skip=skip)
@@ -311,13 +310,6 @@ def _split_off(n: np.ndarray, extracted: np.ndarray) -> np.ndarray:
     if (cofactor * extracted != n).any():
         raise ValueError("sieved prime powers do not multiply to n")
     return cofactor
-
-
-def _exact_quotient(numerator: np.ndarray, divisor: np.ndarray) -> np.ndarray:
-    """numerator // divisor (int64 or object columns), checking that every division is exact."""
-    if (numerator % divisor).any():
-        raise NonIntegral("cofactor_k numerator not divisible by count_D")
-    return numerator // divisor
 
 
 def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
@@ -399,7 +391,7 @@ def _block_conductors(n: np.ndarray, square: np.ndarray, policy) -> tuple[np.nda
     """
     if isinstance(policy, FixedEll):
         candidates = (policy.ell,)
-    else:  # SmallestEll, as check_sweep_args made sure
+    else:  # SmallestEll, as sweep made sure
         candidates = (c for c in range(3, policy.ell_max + 1, 2) if is_prime(c))
     ell = np.zeros_like(n)
     skip = np.full(len(n), None, dtype=object)
@@ -483,7 +475,7 @@ def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, 
         return np.multiply.reduceat(terms if exact else terms.astype(object), starts)
 
     relaxed = product(relaxed)
-    return product(gal), relaxed, product(h), _exact_quotient(product(residue_units), relaxed)
+    return product(gal), relaxed, product(h), product(residue_units) // relaxed
 
 
 def _gcd_terms(n, a, p, b, c, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -593,27 +585,6 @@ def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
     return items, _aggregate(cols, r)
 
 
-def check_sweep_args(x_max: int, r: int, policy, workers: int, row_format: str | None) -> None:
-    """Raise what sweep would for these arguments, before it runs anything.
-
-    ValueError for a bad range, round count, worker count or row format;
-    TypeError for a policy that is neither FixedEll nor SmallestEll;
-    BudgetExceeded when isqrt(x_max) is past the sieve cap.
-    """
-    if x_max < 3:
-        raise ValueError("x_max must be >= 3")
-    if not isinstance(policy, (FixedEll, SmallestEll)):
-        raise TypeError(f"unknown conductor policy: {policy!r}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if row_format not in (None, "csv", "json"):
-        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
-    if math.isqrt(x_max) > _SIEVE_LIMIT:
-        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
-
-
 def sweep(
     x_max: int,
     r: int = 2,
@@ -631,9 +602,23 @@ def sweep(
     without its header, CSV_HEADER).  The aggregate's sums are exact, so
     it does not depend on the chunking or the worker count.  No more
     workers start than there are chunks, and none without os.fork.
-    check_sweep_args checks the arguments before any chunk runs.
+    The arguments are checked before any chunk runs: ValueError for a
+    bad range, round count, worker count or row format, TypeError for a
+    policy that is neither FixedEll nor SmallestEll, and BudgetExceeded
+    when isqrt(x_max) is past the sieve cap.
     """
-    check_sweep_args(x_max, r, policy, workers, row_format)
+    if x_max < 3:
+        raise ValueError("x_max must be >= 3")
+    if not isinstance(policy, (FixedEll, SmallestEll)):
+        raise TypeError(f"unknown conductor policy: {policy!r}")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if row_format not in (None, "csv", "json"):
+        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
+    if math.isqrt(x_max) > _SIEVE_LIMIT:
+        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
     starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
     output = None if record_sink is None else (row_format or "records")
     chunk_args = ((a, min(a + span, x_max + 1), r, policy, output) for a in starts)

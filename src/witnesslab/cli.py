@@ -5,14 +5,16 @@ CSV (fixed header) or newline-delimited JSON mirroring the same
 columns.  Exit codes: 0 for a completed run (whatever the verdict),
 2 for invalid arguments, 3 when an oracle check finds a mismatch, 1
 for a runtime failure (a typed error, an exceeded budget or an I/O
-error), reported as one error: line on stderr.
+error) and 130 for Ctrl-C, reported as one error: line on stderr.
 
 The default seed comes from the WITNESSLAB_SEED environment variable
-(0 when unset); --seed overrides it.  Only the library type that owns
-a value checks it (CounterRng a seed, FixedEll and SmallestEll a
-conductor option), so each rule has one message.  sweep replaces
---out only when it completes; a --out that is not a regular file,
-such as /dev/null, is written in place.
+(0 when unset); --seed overrides it.  Every integer option is parsed
+by _checked_by, so a non-integer always reads "invalid int value".
+Only the library type that owns a value checks it (CounterRng a seed,
+FixedEll and SmallestEll a conductor option), so each rule has one
+message.  sweep replaces --out only when it completes; a --out that is
+not a regular file, such as /dev/null, is written in place, and one
+that is stdout's own file is written through sys.stdout.
 """
 
 from __future__ import annotations
@@ -63,14 +65,12 @@ def _parse_ell_policy(text: str):
 
 
 def _int_at_least(low: int):
-    def parse(text: str) -> int:
-        value = int(text)
+    def check(value: int) -> int:
         if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+            raise ValueError(f"expected an integer >= {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
-    return parse
+    return _checked_by(check)
 
 
 def _parse_modulus(text: str) -> int:
@@ -79,10 +79,9 @@ def _parse_modulus(text: str) -> int:
     return _int_at_least(1)(text)
 
 
-def _odd_n(text: str) -> int:
-    n = int(text)
+def _odd_n(n: int) -> int:
     if n < 3 or n % 2 == 0:
-        raise argparse.ArgumentTypeError("n must be odd and >= 3")
+        raise ValueError("n must be odd and >= 3")
     return n
 
 
@@ -134,7 +133,13 @@ def cmd_count(args) -> int:
 def _open_out(path: str):
     """(handle, temporary path) for --out: a new file in its directory,
     with the mode open(path, "w") would leave, or path itself (temporary
-    path None) where path is there and not a regular file."""
+    path None) where path is there and not a regular file.  Where path
+    is stdout's own file, the handle is sys.stdout, left open: a second
+    open (of /dev/stdout sent to a file) would write from offset 0, and
+    the summary would overwrite the rows."""
+    with contextlib.suppress(OSError, ValueError):  # ValueError: stdout has no descriptor
+        if os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno())):
+            return contextlib.nullcontext(sys.stdout), None
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -161,15 +166,15 @@ def cmd_sweep(args) -> int:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return 2
     try:
-        with handle:
+        with handle as out:
             if args.format == "csv":
-                handle.write(analysis.CSV_HEADER)
+                out.write(analysis.CSV_HEADER)
             agg = analysis.sweep(
                 args.max,
                 args.rounds,
                 args.ell,
                 workers=args.workers,
-                record_sink=handle.write,
+                record_sink=out.write,
                 row_format=args.format,
             )
         summary = agg.summary()
@@ -250,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="run the combined Miller-Rabin + Galois test")
-    p.add_argument("n", type=_odd_n)
+    p.add_argument("n", type=_checked_by(_odd_n))
     p.add_argument("--rounds", type=_int_at_least(0), default=2, help="Miller-Rabin rounds")
     p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or an odd prime")
     p.add_argument("--seed", type=_checked_by(CounterRng), default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("count", help="exact counts for one n as a CSV row")
-    p.add_argument("n", type=_odd_n)
+    p.add_argument("n", type=_checked_by(_odd_n))
     p.add_argument("--rounds", type=_int_at_least(0), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="smallest",
                    help="fixed:<ell> or smallest[:<max>]")
@@ -304,12 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # Str = MR**rounds * Gal can pass 4300 digits
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ArithmeticError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # cmd_sweep has removed its temporary file, sweep reaped its workers
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ composite StrongerVerdict carries, as the Miller-Rabin rounds do.
 count_Gal counts the accepted units in closed form and brute_Gal by
 enumeration.  Closed forms take n or its Factorization.  count_Gal,
 count_D and cofactor_k are the three fields of one pass over the
-primes of n, which a sweep runs once per (n, ell).
+primes of n, which examine runs once per n; a sweep takes the same
+local terms a chunk at a time.
 
 Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products use Kronecker substitution: an
@@ -86,10 +87,6 @@ class InvalidConductor(ValueError):
     """The requested (n, ell) pair violates the ring preconditions."""
 
 
-class NonIntegral(ArithmeticError):
-    """An exact-division invariant failed; indicates a real bug."""
-
-
 def conductor_failure(n: int, ell: int) -> str | None:
     """Why ell is unusable for n, as a short tag, or None if usable."""
     return _residue_failure(n % ell if ell > 0 else -1, ell)
@@ -108,8 +105,8 @@ def _residue_failure(residue: int, ell: int) -> str | None:
 
 @lru_cache(maxsize=None)
 def _order_mod_ell(residue: int, ell: int) -> int:
-    # ell stays small (conductors are searched below a few thousand),
-    # so an unbounded cache keyed by (residue, ell) is safe.
+    # Unbounded: each conductor ell adds at most ell - 1 entries, and a
+    # conductor search only meets the primes up to its ell_max.
     return mult_order(residue, ell)
 
 
@@ -413,10 +410,7 @@ def _conductor_counts(fac: Factorization, ell: int) -> tuple[int, int, int]:
         gal *= math.gcd(n**loc.m - p**loc.t, residue_units)
         relaxed *= math.gcd(residue_units, n_d)
         numerator *= residue_units
-    k, remainder = divmod(numerator, relaxed)
-    if remainder:
-        raise NonIntegral(f"{numerator} not divisible by {relaxed}")
-    return gal, relaxed, k
+    return gal, relaxed, numerator // relaxed  # each D term divides its p**f - 1
 
 
 def count_Gal(n: int | Factorization, ell: int) -> int:

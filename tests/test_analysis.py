@@ -30,7 +30,6 @@ from witnesslab.analysis import (
     examine,
     sweep,
 )
-from witnesslab.galois import NonIntegral
 from witnesslab.numth import (
     carmichael_lambda,
     euler_phi,
@@ -159,6 +158,19 @@ def test_examine_rejects_bad_inputs_before_factoring(monkeypatch, n, r):
     message = "r must be >= 0" if n == 35 else "n must be odd and >= 3"
     with pytest.raises(ValueError, match=message):
         examine(n, r, FixedEll(3))
+
+
+@pytest.mark.parametrize("policy", ["fixed:3", 3, None])
+@pytest.mark.parametrize("n", [9, 35, 340282366920956911314252961405970309027])
+def test_examine_rejects_an_unknown_policy_before_factoring(monkeypatch, n, policy):
+    """Also for a square, which needs no conductor, and for a 128-bit
+    semiprime, which rho would take seconds to give up on."""
+    def no_factoring(n):
+        raise AssertionError("examine factored n under an unknown policy")
+
+    monkeypatch.setattr(analysis, "factorize", no_factoring)
+    with pytest.raises(TypeError, match="unknown conductor policy"):
+        examine(n, 2, policy)
 
 
 def test_examine_smallest_policy_searches():
@@ -646,18 +658,6 @@ def test_block_checks_the_sieved_factorization(monkeypatch):
     for policy in POLICIES:
         with pytest.raises(ValueError):
             analysis._block_columns(3, 4003, 2, policy)
-
-
-def test_block_checks_that_k_is_integral():
-    numerator = np.array([144, 290, 7], dtype=np.int64)
-    assert analysis._exact_quotient(numerator, np.array([144, 145, 7])).tolist() == [1, 2, 1]
-    with pytest.raises(NonIntegral):
-        analysis._exact_quotient(numerator, np.array([144, 144, 2]))
-    # Rows past int64 hold their products as Python ints.
-    big = np.array([3 * 10**30, 7], dtype=object)
-    assert analysis._exact_quotient(big, np.array([3, 7], dtype=object)).tolist() == [10**30, 1]
-    with pytest.raises(NonIntegral):
-        analysis._exact_quotient(big, np.array([7, 7], dtype=object))
 
 
 def _per_row_log_units(values, scale):

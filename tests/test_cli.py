@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -316,7 +319,8 @@ def test_sweep_write_failure_is_an_error_line():
 
 
 def test_rejected_sweep_leaves_out_untouched(tmp_path, capsys):
-    """The arguments are checked before --out is opened, which would truncate it."""
+    """A sweep that sweep's own checks reject writes its rows to a temporary
+    file, which is removed, so --out keeps its bytes."""
     out = tmp_path / "keep.csv"
     out.write_bytes(b"precious\n")
     assert cli.main(["sweep", "--max", str(10**17), "--out", str(out)]) == 1
@@ -370,7 +374,7 @@ def _interrupt(monkeypatch):
         return chunk(args)
 
     monkeypatch.setattr(analysis, "_process_chunk", interrupted)
-    return [], KeyboardInterrupt
+    return [], 130
 
 
 @pytest.mark.parametrize("failure", [_chunk_error, _write_error, _interrupt])
@@ -383,12 +387,11 @@ def test_a_failed_sweep_leaves_out_as_it_was(monkeypatch, tmp_path, capsys, fail
     out.chmod(0o640)
     argv = ["sweep", "--max", "40001", "--out", str(out)]
     extra, expected = failure(monkeypatch)
-    if expected is KeyboardInterrupt:
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(argv + extra)
-    else:
-        assert cli.main(argv + extra) == expected
-        assert len(_error_lines(capsys.readouterr().err)) == 1
+    assert cli.main(argv + extra) == expected
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1
+    if expected == 130:
+        assert errors == ["error: interrupted"]
     assert out.read_bytes() == b"precious\n"
     assert os.listdir(tmp_path) == ["keep.csv"]
 
@@ -455,6 +458,113 @@ def test_each_value_is_reported_by_its_owner(monkeypatch, capsys, argv, env_seed
     message = _owner_message(make)
     assert got_code == code
     assert line == f"error: {message}" if code == 1 else line.endswith(f"error: argument {argv[-2]}: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, option, bad",
+    [
+        (["test", "abc"], "n", "abc"),
+        (["count", "x7"], "n", "x7"),
+        (["test", "35", "--rounds", "two"], "--rounds", "two"),
+        (["count", "35", "--rounds", "1.5"], "--rounds", "1.5"),
+        (["sweep", "--max", "x", "--out", os.devnull], "--max", "x"),
+        (["sweep", "--max", "11", "--workers", "2.0", "--out", os.devnull], "--workers", "2.0"),
+        (["constants", "--d", "1e3"], "--d", "1e3"),
+        (["constants", "--bound", "ten"], "--bound", "ten"),
+        (["adversary", "--M", "abc"], "--M", "abc"),
+        (["adversary", "--M", "lcm:x"], "--M", "x"),
+        (["adversary", "--pool-bound", "2^8"], "--pool-bound", "2^8"),
+        (["adversary", "--cutoff", "five"], "--cutoff", "five"),
+        (["adversary", "--k", ""], "--k", ""),
+        (["adversary", "--q-limit", "1e6"], "--q-limit", "1e6"),
+        (["adversary", "--seed", "0x10"], "--seed", "0x10"),
+        (["test", "35", "--seed", "seven"], "--seed", "seven"),
+        (["test", "35", "--ell", "three"], "--ell", "three"),
+        (["count", "35", "--ell", "fixed:x"], "--ell", "x"),
+        (["count", "35", "--ell", "smallest:x"], "--ell", "x"),
+        (["oracle-check", "--suite", "f", "--max", "9.0"], "--max", "9.0"),
+    ],
+)
+def test_every_integer_option_reports_a_non_integer_the_same_way(capsys, argv, option, bad):
+    """One parser for every integer option: argparse names the int type,
+    never a private function."""
+    code, line = _exit_code_and_last_line(argv, capsys)
+    assert code == 2
+    assert line.endswith(f"error: argument {option}: invalid int value: {bad!r}")
+    assert re.search(r"(?<![\w-])_", line) is None
+
+
+def test_ctrl_c_is_one_error_line(monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(product, "stronger_test", interrupted)
+    assert cli.main(["test", "35"]) == 130
+    assert capsys.readouterr() == ("", "error: interrupted\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_ctrl_c_stops_a_forked_sweep_with_exit_130(tmp_path):
+    """SIGINT to the process group, as Ctrl-C sends it: the workers are
+    reaped and the temporary --out file removed before the one error line."""
+    env = dict(os.environ)
+    env.pop("WITNESSLAB_SEED", None)
+    argv = ["sweep", "--max", str(10**8), "--workers", "2", "--out", str(tmp_path / "rows.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "witnesslab", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not os.listdir(tmp_path) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert os.listdir(tmp_path), "the sweep never opened its temporary file"
+        time.sleep(0.5)  # let the workers start
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert os.listdir(tmp_path) == []
+
+
+def _sweep_to_stdout(out: str, stdout) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.pop("WITNESSLAB_SEED", None)
+    return subprocess.run(
+        [sys.executable, "-m", "witnesslab", "sweep", "--max", "11", "--out", out],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sweep_out_dev_stdout_keeps_rows_before_the_summary(tmp_path):
+    """--out /dev/stdout writes the rows through stdout itself, so a file that
+    stdout is sent to holds the header, the rows, then the summary and the
+    bounds table; a pipe gets the same, and /dev/null only the summary."""
+    rows = tmp_path / "rows.csv"
+    reference = run_cli("sweep", "--max", "11", "--out", str(rows))
+    summary = reference.stdout.replace(f" out={rows}", " out={out}")
+    expected = rows.read_text() + summary.format(out="/dev/stdout")
+    assert "bounds report at x=11" in expected
+    captured = tmp_path / "stdout.txt"
+    with open(captured, "w") as handle:
+        proc = _sweep_to_stdout("/dev/stdout", handle)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert captured.read_text() == expected
+    piped = _sweep_to_stdout("/dev/stdout", subprocess.PIPE)
+    assert (piped.returncode, piped.stdout) == (0, expected)
+    discarded = _sweep_to_stdout(os.devnull, subprocess.PIPE)
+    assert (discarded.returncode, discarded.stdout) == (0, summary.format(out=os.devnull))
 
 
 def test_sweep_without_fork_runs_in_process(monkeypatch, tmp_path, capsys):
