@@ -6,8 +6,10 @@ other modules provide, and reduces them into an aggregate of integers
 split of the range and any worker count.  Chunk order only orders the
 records handed to the sink.  Every chunk comes from one engine,
 _block_columns, which sieves it with the odd primes up to its square
-root; the sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as
-sweep checks before any chunk runs.  Chunks are made lazily.  With
+root, a prefix of the primes sweep sieves once up to isqrt(x_max); the
+sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as sweep checks
+before any chunk runs.  The engine reads each conductor through one
+table of discrete logs (_conductor_table).  Chunks are made lazily.  With
 more than one worker, sweep forks its workers with os.fork; each runs
 every workers-th chunk and returns its results through its own pipe,
 read in chunk order; where os.fork does not exist, the chunks run in
@@ -35,6 +37,7 @@ import signal
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +46,6 @@ from . import witness
 from .galois import (
     DEFAULT_ELL_MAX,
     _conductor_counts,
-    _local_residues,
-    _residue_failure,
     conductor_failure,
     count_H,
     find_conductor,
@@ -56,6 +57,7 @@ from .numth import (
     _iroot,
     _odd_primes,
     _pow_mod,
+    carmichael_lambda,
     factorize,
     is_prime,
     lcm_range,
@@ -312,20 +314,21 @@ def _split_off(n: np.ndarray, extracted: np.ndarray) -> np.ndarray:
     return cofactor
 
 
-def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
+def _block_columns(start: int, stop: int, r: int, policy, primes: np.ndarray) -> _Columns:
     """The columns (see _Columns) of the odd n in [start, stop).
 
     These are examine's closed forms, taken over (row, prime) pairs
-    instead of one n at a time.  The odd primes up to isqrt(stop - 1)
-    sieve the block, and what is left of each n is 1 or a prime, which
-    adds one more pair.  Each count is then a product (v a minimum) of
-    local terms over the pairs of its row.  F, MR and the square tag
-    need no conductor; _block_conductors finds each row's conductor and
+    instead of one n at a time.  The odd primes up to isqrt(stop - 1),
+    a prefix of primes (the sweep's sieve), sieve the block, and what is
+    left of each n is 1 or a prime, which adds one more pair.  Each
+    count is then a product (v a minimum) of local terms over the pairs
+    of its row.  F, MR and the square tag need no conductor;
+    _block_conductors finds each row's conductor and
     _block_conductor_counts its Gal, D, H and k.
     """
     n = np.arange(start, stop, 2, dtype=np.int64)
     size = len(n)
-    primes = _odd_primes(math.isqrt(stop - 1))
+    primes = primes[: np.searchsorted(primes, math.isqrt(stop - 1), side="right")]
     # Row of the first odd multiple of p: start + 2*i = 0 (mod p).
     first = (-start % primes) * ((primes + 1) // 2) % primes
     hits = np.where(first < size, (size - 1 - first) // primes + 1, 0)
@@ -381,31 +384,91 @@ def _block_columns(start: int, stop: int, r: int, policy) -> _Columns:
     )
 
 
+# The rows of a conductor table, and the skip tags by their code in its
+# tag row.
+_TAG, _IND, _M, _F, _INV = range(5)
+_SKIP_TAGS = np.array([None, "not-coprime", "not-primitive-root"], dtype=object)
+# The largest conductor a chunk takes a table for: a table is 40 * ell
+# bytes, 42 MB at this cap.
+_TABLE_LIMIT = 2**20
+
+
+@lru_cache(maxsize=None)
+def _conductor_table(ell: int) -> np.ndarray | None:
+    """What the block engine reads of the conductor ell, by residue r mod
+    ell: an int64 array of five rows, or None when ell is not a prime.
+
+    With g the least primitive root mod ell and d = ell - 1, ind[r] is
+    the discrete log of r to base g, read off the d powers of g; the
+    other rows follow from k = ind[r].  tag[r] is 1 (not-coprime) at
+    r = 0, 0 (accepted) where gcd(k, d) = 1, that is where r is a
+    primitive root, and 2 (not-primitive-root) elsewhere.  For a prime
+    p = r mod ell, local_data's m is gcd(k, d), f = d / m is the order
+    of p, and inv[r] = (k / m)**-1 mod f, computed as
+    (k / m)**(2 lambda(d) - 1) mod f, since lambda(f) divides lambda(d)
+    and 2 lambda(d) - 1 >= 1.  For n a primitive root, p = (n**m)**z with
+    z = (k / m) / ind[n] mod f, so t = z**-1 mod f is ind[n] * inv[r]
+    mod f, and 0 when f = 1.  Column 0 holds tag 1 and the other values
+    of r = 1.  A prime past _TABLE_LIMIT raises BudgetExceeded.
+    """
+    if not is_prime(ell):
+        return None
+    if ell > _TABLE_LIMIT:
+        raise BudgetExceeded(f"conductor {ell} is past the table cap of {_TABLE_LIMIT}")
+    d = ell - 1
+    factors = factorize(d).factors
+    g = next(g for g in range(2, ell) if all(pow(g, d // q, ell) != 1 for q, _ in factors))
+    # g**k for k < d as g**(step * i + j): giant steps i by baby steps j.
+    step = math.isqrt(d - 1) + 1
+    giant, baby = (_powers(base, step, ell) for base in (pow(g, step, ell), g))
+    powers = (giant[:, None] * baby % ell).ravel()[:d]
+    k = np.arange(d)
+    m = np.ones(d, dtype=np.int64)  # gcd(k, d), built up a prime power of d at a time
+    for q, e in factors:
+        for j in range(1, e + 1):
+            m[:: q**j] *= q
+    f = d // m
+    table = np.empty((5, ell), dtype=np.int64)
+    table[:, 0] = (1, 0, d, 1, 0)
+    table[:, powers] = (np.where(m == 1, 0, 2), k, m, f, _pow_mod(k // m, 2 * carmichael_lambda(d) - 1, f))
+    return table
+
+
+def _powers(base: int, count: int, modulus: int) -> np.ndarray:
+    """base**j % modulus for j < count, as an int64 array."""
+    steps = itertools.accumulate(itertools.repeat(base, count - 1), lambda x, y: x * y % modulus, initial=1)
+    return np.array(list(steps), dtype=np.int64)
+
+
 def _block_conductors(n: np.ndarray, square: np.ndarray, policy) -> tuple[np.ndarray, np.ndarray]:
     """(ell, skip) for the rows n, as examine finds them; ell is 0 where skip holds a tag.
 
-    Squares are "perfect-power".  FixedEll tags every other row with
-    _residue_failure(n % ell, ell).  SmallestEll tries the odd primes up
-    to ell_max in increasing order on the rows still open, and a row
-    takes the first ell that accepts its residue, or "no-conductor".
+    Squares are "perfect-power".  FixedEll tags every other row by its
+    residue in the tag row of the conductor's table.  SmallestEll tries
+    the odd primes up to ell_max, those with a table, in increasing
+    order on the rows still open, and a row takes the first ell that
+    accepts its residue, or "no-conductor".
     """
     if isinstance(policy, FixedEll):
         candidates = (policy.ell,)
     else:  # SmallestEll, as sweep made sure
-        candidates = (c for c in range(3, policy.ell_max + 1, 2) if is_prime(c))
+        candidates = range(3, policy.ell_max + 1, 2)
     ell = np.zeros_like(n)
     skip = np.full(len(n), None, dtype=object)
     skip[square] = "perfect-power"
-    open_rows, tags = np.flatnonzero(~square), None
+    open_rows = np.flatnonzero(~square)
+    codes = np.zeros_like(open_rows)
     for c in candidates:
         if not len(open_rows):
             break
-        residues, index = np.unique(n[open_rows] % c, return_inverse=True)
-        tags = np.array([_residue_failure(res, c) for res in residues.tolist()], dtype=object)[index]
-        accepted = np.equal(tags, None)
+        table = _conductor_table(c)
+        if table is None:
+            continue
+        codes = table[_TAG, n[open_rows] % c]
+        accepted = codes == 0
         ell[open_rows[accepted]] = c
-        open_rows, tags = open_rows[~accepted], tags[~accepted]
-    skip[open_rows] = "no-conductor" if isinstance(policy, SmallestEll) else tags
+        open_rows, codes = open_rows[~accepted], codes[~accepted]
+    skip[open_rows] = "no-conductor" if isinstance(policy, SmallestEll) else _SKIP_TAGS[codes]
     return ell, skip
 
 
@@ -443,23 +506,11 @@ def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, 
     f, m and t as local_data finds them and d = ell - 1, Gal takes
     gcd(n**m - p**t, p**f - 1), D takes gcd(n**d - 1, p**f - 1), H takes
     gcd(n**d - 1, p**d - 1), and k is the product of p**f - 1 over D.
-    They come from local_data's memo, galois._local_residues, once per
-    distinct (n mod ell, ell, p mod ell), which is all it reads, so each
-    process derives a triple once per sweep.  exact says that every row
+    f, m and t come from _local_data_columns.  exact says that every row
     is narrow, so every power reduces in int64; otherwise only the pairs
     whose modulus is below 2**31 do, and the products are Python ints.
     """
-    ells, ell_rank = np.unique(ell, return_inverse=True)
-    # One integer key per pair: np.unique over the stacked columns
-    # (axis=1) takes ten times as long.
-    base = int(min(ells[-1], n.max() + 1))  # above every n % ell and p % ell
-    dtype = np.int64 if len(ells) * base * base <= _INT64_MAX else object
-    n_res, p_res = n % ell, p % ell
-    key = (ell_rank.astype(dtype) * base + n_res) * base + p_res
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    triples = zip(n_res[first].tolist(), ell[first].tolist(), p_res[first].tolist())
-    local = np.array([_local_residues(*triple) for triple in triples], dtype=np.int64)
-    f, m, t = local.T[[0, 1, 3]][:, group]
+    f, m, t = _local_data_columns(n, p, ell)
     d = ell - 1
     if exact:
         vector_f = vector_d = np.ones(len(p), dtype=bool)
@@ -476,6 +527,22 @@ def _local_counts(n: np.ndarray, p: np.ndarray, ell: np.ndarray, w: np.ndarray, 
 
     relaxed = product(relaxed)
     return product(gal), relaxed, product(h), product(residue_units) // relaxed
+
+
+def _local_data_columns(n: np.ndarray, p: np.ndarray, ell: np.ndarray) -> tuple:
+    """local_data's (f, m, t) as int64 columns, one entry per (n, p, ell)
+    pair with n a primitive root mod the prime ell.
+
+    They are gathered, at n mod ell and p mod ell, from the tables of the
+    conductors present (see _conductor_table), laid end to end.
+    """
+    ells = np.flatnonzero(np.bincount(ell))
+    tables = np.concatenate([_conductor_table(c) for c in ells.tolist()], axis=1)
+    offset = np.zeros(ells[-1] + 1, dtype=np.int64)
+    offset[ells] = np.cumsum(ells) - ells
+    at = offset[ell]
+    m, f, inv = tables[_M:, at + p % ell]
+    return f, m, tables[_IND, at + n % ell] * inv % f
 
 
 def _gcd_terms(n, a, p, b, c, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -572,10 +639,10 @@ def _process_chunk(args: tuple) -> tuple[list, SweepAggregate]:
     output says what the sink items are: none when it is None (no
     sink), the chunk's SweepRecords when it is "records", and otherwise
     its rows as one text in that row format, "csv" or "json", rendered
-    in the process that computed them.
+    in the process that computed them.  primes is the sweep's sieve.
     """
-    start, stop, r, policy, output = args
-    cols = _block_columns(start, stop, r, policy)
+    start, stop, r, policy, output, primes = args
+    cols = _block_columns(start, stop, r, policy, primes)
     if output is None:
         items = []
     elif output == "records":
@@ -605,7 +672,10 @@ def sweep(
     The arguments are checked before any chunk runs: ValueError for a
     bad range, round count, worker count or row format, TypeError for a
     policy that is neither FixedEll nor SmallestEll, and BudgetExceeded
-    when isqrt(x_max) is past the sieve cap.
+    when isqrt(x_max) is past the sieve cap or a fixed conductor past
+    the table cap.  The odd primes up to isqrt(x_max) are sieved once,
+    before any worker forks, and every chunk sieves with a prefix of
+    them.
     """
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
@@ -619,9 +689,12 @@ def sweep(
         raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
     if math.isqrt(x_max) > _SIEVE_LIMIT:
         raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
+    if isinstance(policy, FixedEll) and policy.ell > _TABLE_LIMIT:
+        raise BudgetExceeded(f"conductor {policy.ell} is past the table cap of {_TABLE_LIMIT}")
     starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
     output = None if record_sink is None else (row_format or "records")
-    chunk_args = ((a, min(a + span, x_max + 1), r, policy, output) for a in starts)
+    primes = _odd_primes(math.isqrt(x_max))
+    chunk_args = ((a, min(a + span, x_max + 1), r, policy, output, primes) for a in starts)
     workers = min(workers, len(starts))
     if workers == 1 or not hasattr(os, "fork"):
         return _reduce(map(_process_chunk, chunk_args), r, record_sink)

@@ -5,7 +5,8 @@ CSV (fixed header) or newline-delimited JSON mirroring the same
 columns.  Exit codes: 0 for a completed run (whatever the verdict),
 2 for invalid arguments, 3 when an oracle check finds a mismatch, 1
 for a runtime failure (a typed error, an exceeded budget or an I/O
-error) and 130 for Ctrl-C, reported as one error: line on stderr.
+error) and 130 for Ctrl-C, reported as one error: line on stderr; 141,
+with no error line, when stdout is a pipe whose reader has closed it.
 
 The default seed comes from the WITNESSLAB_SEED environment variable
 (0 when unset); --seed overrides it.  Every integer option is parsed
@@ -311,7 +312,17 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # Str = MR**rounds * Gal can pass 4300 digits
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone.  Point fd 1 at /dev/null, so that the
+        # flush at exit cannot fail again, and end as a pipe writer that
+        # SIGPIPE killed would, but without the signal.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, ArithmeticError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

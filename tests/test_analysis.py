@@ -530,14 +530,15 @@ WINDOW_STARTS = [10**6 + 1, 10**7 + 1, 3036996499, 3036998499, 10**10 + 1, 10**1
 )
 def test_block_window_equals_examine(start, policy):
     stop = start + 2 * 2000
-    rows = analysis._records(analysis._block_columns(start, stop, 2, policy))
+    primes = numth._odd_primes(math.isqrt(stop - 1))
+    rows = analysis._records(analysis._block_columns(start, stop, 2, policy, primes))
     assert_same_records(rows, [examine(n, 2, policy) for n in range(start, stop, 2)])
 
 
 @pytest.mark.parametrize("policy", [FixedEll(3), SmallestEll()], ids=["fixed3", "smallest"])
 @pytest.mark.parametrize("r", [0, 2, 300])
 def test_chunk_aggregate_equals_add_record_over_its_records(policy, r):
-    cols = analysis._block_columns(3, 4003, r, policy)
+    cols = analysis._block_columns(3, 4003, r, policy, numth._odd_primes(63))
     manual = SweepAggregate(rounds=r)
     for rec in analysis._records(cols):
         manual.add_record(rec)
@@ -554,6 +555,43 @@ def test_block_gives_no_conductor_rows(monkeypatch):
     skips = {rec.skip for rec in rows}
     assert {"no-conductor", "perfect-power", None} == skips
     assert {rec.ell for rec in rows} == {3, 5, 7, None}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
+def test_block_engine_needs_no_conductor_memo(monkeypatch, policy, workers):
+    """The engine reads conductors and local data from its own tables:
+    with galois's residue memos raising, a sweep gives the same rows."""
+    reference = []
+    agg = sweep(20001, 2, policy, record_sink=reference.append)
+
+    def memo(*args):
+        raise AssertionError("the block engine called a galois memo")
+
+    for module in (galois, analysis):  # analysis would hold the names it imported
+        for name in ("_residue_failure", "_local_residues"):
+            monkeypatch.setattr(module, name, memo, raising=False)
+    rows = []
+    assert sweep(20001, 2, policy, workers=workers, record_sink=rows.append) == agg
+    assert_same_records(rows, reference)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_sieves_once_before_its_workers_fork(monkeypatch, workers):
+    """sweep sieves the odd primes up to isqrt(x_max) once, in the calling
+    process, and every chunk takes its sieving primes from them."""
+    reference = sweep(30001, 2, SmallestEll())
+    parent, limits = os.getpid(), []
+    real_primes = analysis._odd_primes
+
+    def sieve(limit):
+        assert os.getpid() == parent, "a worker sieved"
+        limits.append(limit)
+        return real_primes(limit)
+
+    monkeypatch.setattr(analysis, "_odd_primes", sieve)
+    assert sweep(30001, 2, SmallestEll(), workers=workers) == reference
+    assert limits == [math.isqrt(30001)]
 
 
 def _stop_at_the_first_chunk(chunks):
@@ -619,7 +657,7 @@ def test_sweep_without_a_sink_builds_no_records(monkeypatch, workers):
     monkeypatch.setattr(analysis, "_render", NoRecords._make)
     assert sweep(20001, 2, FixedEll(3), workers=workers) == with_sink
     assert sweep(20001, 2, FixedEll(3), workers=workers, row_format="csv") == with_sink
-    assert analysis._process_chunk((3, 4003, 2, FixedEll(3), None))[0] == []
+    assert analysis._process_chunk((3, 4003, 2, FixedEll(3), None, numth._odd_primes(63)))[0] == []
 
 
 def _record_cells(rec):
@@ -657,7 +695,7 @@ def test_block_checks_the_sieved_factorization(monkeypatch):
     monkeypatch.setattr(analysis, "_odd_primes", lambda limit: np.sort(np.append(real_primes(limit), 9)))
     for policy in POLICIES:
         with pytest.raises(ValueError):
-            analysis._block_columns(3, 4003, 2, policy)
+            analysis._block_columns(3, 4003, 2, policy, analysis._odd_primes(63))
 
 
 def _per_row_log_units(values, scale):

@@ -567,6 +567,30 @@ def test_sweep_out_dev_stdout_keeps_rows_before_the_summary(tmp_path):
     assert (discarded.returncode, discarded.stdout) == (0, summary.format(out=os.devnull))
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_ends_quietly(tmp_path, buffered):
+    """A reader that closes stdout early, as `| head -1` does, ends the
+    command with exit 141 and nothing on stderr, whether the first failed
+    write is a print or the final flush; sweep --out still holds every row."""
+    env = dict(os.environ)
+    env.pop("WITNESSLAB_SEED", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    sweep = ["sweep", "--max", "20001", "--ell", "smallest", "--workers", "2", "--out"]
+    assert run_cli(*sweep, str(tmp_path / "unpiped.csv")).returncode == 0
+    for argv in ([*sweep, str(tmp_path / "piped.csv")], ["oracle-check", "--suite", "f", "--max", "501"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "witnesslab", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b""), argv
+    digests = {hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("unpiped.csv", "piped.csv")}
+    assert len(digests) == 1
+
+
 def test_sweep_without_fork_runs_in_process(monkeypatch, tmp_path, capsys):
     """Where os.fork does not exist, --workers N runs the chunks in-process
     and gives the rows and aggregate of one worker."""

@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from witnesslab import galois
+from witnesslab import analysis, galois
 from witnesslab.galois import (
     InvalidConductor,
     NoConductor,
@@ -26,7 +27,7 @@ from witnesslab.galois import (
     sigma_apply,
     unit_count,
 )
-from witnesslab.numth import BudgetExceeded, factorize, is_prime
+from witnesslab.numth import BudgetExceeded, factorize, is_prime, mult_order, primes_up_to
 from witnesslab.witness import count_F
 
 
@@ -444,6 +445,45 @@ def test_local_data_memo_equals_the_derivation():
                         continue
                     assert local_data(n, ell, p) == want == PrimeLocalData(p, *unmemoised(n, ell, p))
                     assert galois._local_residues(n_res, ell, p_res) == unmemoised(n, ell, p)
+
+
+def test_sweep_conductor_tables_equal_the_definitions():
+    """The block engine's tables, at every residue pair of every prime
+    ell <= 211, all gathered in one call: each tag against mult_order,
+    and f, m and t against their definitions (f the order of p, m = d / f,
+    t the j in [0, f) with p**j = n**m mod ell, which is z**-1 mod f); up
+    to ell = 61, every pair against _derived_local_data itself."""
+    pairs = []
+    for ell in primes_up_to(211)[1:]:
+        tags = analysis._SKIP_TAGS[analysis._conductor_table(ell)[analysis._TAG]].tolist()
+        orders = [None] + [mult_order(r, ell) for r in range(1, ell)]
+        assert tags == ["not-coprime"] + [
+            None if order == ell - 1 else "not-primitive-root" for order in orders[1:]
+        ], ell
+        roots = [r for r in range(1, ell) if orders[r] == ell - 1]
+        pairs += [(n, p, ell, orders[p]) for n in roots for p in range(1, ell)]
+    n, p, ell, order = np.array(pairs).T
+    f, m, t = (column.tolist() for column in analysis._local_data_columns(n + 4 * ell, p + 10 * ell, ell))
+    assert f == order.tolist()
+    assert m == ((ell - 1) // order).tolist()
+    for (n, p, ell, _), f, m, t in zip(pairs, f, m, t):
+        assert 0 <= t < f and pow(p, t, ell) == pow(n, m, ell), (n, p, ell)
+        if ell <= 61:
+            assert _derived_local_data(n, ell, p) == PrimeLocalData(p, f, m, pow(t, -1, f) if f > 1 else 0, t)
+
+
+def test_sweep_conductor_tables_are_kept_and_capped(monkeypatch):
+    """A table is made once per process; a composite candidate has none,
+    and a prime past the cap raises BudgetExceeded, which a sweep with
+    that fixed conductor raises before any chunk runs."""
+    assert analysis._conductor_table(9) is None
+    assert analysis._conductor_table(7) is analysis._conductor_table(7)
+    monkeypatch.setattr(analysis, "_TABLE_LIMIT", 7)
+    with pytest.raises(BudgetExceeded):
+        analysis._conductor_table.__wrapped__(11)
+    monkeypatch.setattr(analysis, "_process_chunk", None)  # no chunk may run
+    with pytest.raises(BudgetExceeded):
+        analysis.sweep(99, 2, analysis.FixedEll(11))
 
 
 def test_local_data_rejects_p_outside_the_subgroup():
