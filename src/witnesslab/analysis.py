@@ -8,8 +8,9 @@ records handed to the sink.  Every chunk comes from one engine,
 _block_columns, which sieves it with the odd primes up to its square
 root, a prefix of the primes sweep sieves once up to isqrt(x_max); the
 sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as sweep checks
-before any chunk runs.  The engine reads each conductor through one
-table of discrete logs (_conductor_table).  Chunks are made lazily.  With
+before any chunk runs.  The engine reads each conductor through the
+table of discrete logs galois keeps for it (_conductor_table), which
+examine's scalar lookups read too.  Chunks are made lazily.  With
 more than one worker, sweep forks its workers with os.fork; each runs
 every workers-th chunk and returns its results through its own pipe,
 read in chunk order; where os.fork does not exist, the chunks run in
@@ -37,15 +38,19 @@ import signal
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import witness
 from .galois import (
+    _IND,
+    _M,
+    _SKIP_TAGS,
+    _TAG,
     DEFAULT_ELL_MAX,
     _conductor_counts,
+    _conductor_table,
     conductor_failure,
     count_H,
     find_conductor,
@@ -57,7 +62,6 @@ from .numth import (
     _iroot,
     _odd_primes,
     _pow_mod,
-    carmichael_lambda,
     factorize,
     is_prime,
     lcm_range,
@@ -384,62 +388,6 @@ def _block_columns(start: int, stop: int, r: int, policy, primes: np.ndarray) ->
     )
 
 
-# The rows of a conductor table, and the skip tags by their code in its
-# tag row.
-_TAG, _IND, _M, _F, _INV = range(5)
-_SKIP_TAGS = np.array([None, "not-coprime", "not-primitive-root"], dtype=object)
-# The largest conductor a chunk takes a table for: a table is 40 * ell
-# bytes, 42 MB at this cap.
-_TABLE_LIMIT = 2**20
-
-
-@lru_cache(maxsize=None)
-def _conductor_table(ell: int) -> np.ndarray | None:
-    """What the block engine reads of the conductor ell, by residue r mod
-    ell: an int64 array of five rows, or None when ell is not a prime.
-
-    With g the least primitive root mod ell and d = ell - 1, ind[r] is
-    the discrete log of r to base g, read off the d powers of g; the
-    other rows follow from k = ind[r].  tag[r] is 1 (not-coprime) at
-    r = 0, 0 (accepted) where gcd(k, d) = 1, that is where r is a
-    primitive root, and 2 (not-primitive-root) elsewhere.  For a prime
-    p = r mod ell, local_data's m is gcd(k, d), f = d / m is the order
-    of p, and inv[r] = (k / m)**-1 mod f, computed as
-    (k / m)**(2 lambda(d) - 1) mod f, since lambda(f) divides lambda(d)
-    and 2 lambda(d) - 1 >= 1.  For n a primitive root, p = (n**m)**z with
-    z = (k / m) / ind[n] mod f, so t = z**-1 mod f is ind[n] * inv[r]
-    mod f, and 0 when f = 1.  Column 0 holds tag 1 and the other values
-    of r = 1.  A prime past _TABLE_LIMIT raises BudgetExceeded.
-    """
-    if not is_prime(ell):
-        return None
-    if ell > _TABLE_LIMIT:
-        raise BudgetExceeded(f"conductor {ell} is past the table cap of {_TABLE_LIMIT}")
-    d = ell - 1
-    factors = factorize(d).factors
-    g = next(g for g in range(2, ell) if all(pow(g, d // q, ell) != 1 for q, _ in factors))
-    # g**k for k < d as g**(step * i + j): giant steps i by baby steps j.
-    step = math.isqrt(d - 1) + 1
-    giant, baby = (_powers(base, step, ell) for base in (pow(g, step, ell), g))
-    powers = (giant[:, None] * baby % ell).ravel()[:d]
-    k = np.arange(d)
-    m = np.ones(d, dtype=np.int64)  # gcd(k, d), built up a prime power of d at a time
-    for q, e in factors:
-        for j in range(1, e + 1):
-            m[:: q**j] *= q
-    f = d // m
-    table = np.empty((5, ell), dtype=np.int64)
-    table[:, 0] = (1, 0, d, 1, 0)
-    table[:, powers] = (np.where(m == 1, 0, 2), k, m, f, _pow_mod(k // m, 2 * carmichael_lambda(d) - 1, f))
-    return table
-
-
-def _powers(base: int, count: int, modulus: int) -> np.ndarray:
-    """base**j % modulus for j < count, as an int64 array."""
-    steps = itertools.accumulate(itertools.repeat(base, count - 1), lambda x, y: x * y % modulus, initial=1)
-    return np.array(list(steps), dtype=np.int64)
-
-
 def _block_conductors(n: np.ndarray, square: np.ndarray, policy) -> tuple[np.ndarray, np.ndarray]:
     """(ell, skip) for the rows n, as examine finds them; ell is 0 where skip holds a tag.
 
@@ -689,8 +637,8 @@ def sweep(
         raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
     if math.isqrt(x_max) > _SIEVE_LIMIT:
         raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
-    if isinstance(policy, FixedEll) and policy.ell > _TABLE_LIMIT:
-        raise BudgetExceeded(f"conductor {policy.ell} is past the table cap of {_TABLE_LIMIT}")
+    if isinstance(policy, FixedEll):
+        _conductor_table(policy.ell)  # built before any fork, or BudgetExceeded past its cap
     starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
     output = None if record_sink is None else (row_format or "records")
     primes = _odd_primes(math.isqrt(x_max))

@@ -14,8 +14,8 @@ count_Gal counts the accepted units in closed form and brute_Gal by
 enumeration.  Closed forms take n or its Factorization.  count_Gal,
 count_D and cofactor_k are the three fields of one pass over the
 primes of n, which examine runs once per n; a sweep takes the same
-local terms a chunk at a time, with f, m and t from its own tables of
-discrete logs rather than from local_data.
+local terms a chunk at a time.  Both read every conductor fact from
+_conductor_table, one table of discrete logs per conductor.
 
 Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products use Kronecker substitution: an
@@ -51,6 +51,7 @@ is the same kernel between a pack and an unpack.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from bisect import bisect_right
@@ -61,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .numth import BudgetExceeded, Factorization, _factored, is_prime, mult_order
+from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, is_prime
 
 DEFAULT_ELL_MAX = 2000
 
@@ -89,26 +90,70 @@ class InvalidConductor(ValueError):
 
 
 def conductor_failure(n: int, ell: int) -> str | None:
-    """Why ell is unusable for n, as a short tag, or None if usable."""
-    return _residue_failure(n % ell if ell > 0 else -1, ell)
-
-
-@lru_cache(maxsize=None)
-def _residue_failure(residue: int, ell: int) -> str | None:
-    if ell < 3 or not is_prime(ell):
+    """Why ell is unusable for n, as a short tag read from its table, or None if usable."""
+    table = _conductor_table(ell)
+    if table is None:
         return "conductor-not-prime"
-    if residue == 0:
-        return "not-coprime"
-    if _order_mod_ell(residue, ell) != ell - 1:
-        return "not-primitive-root"
-    return None
+    return _SKIP_TAGS[table[_TAG, n % ell]]
+
+
+# The rows of a conductor table, and the skip tags by their code in its
+# tag row.
+_TAG, _IND, _M, _F, _INV = range(5)
+_SKIP_TAGS = np.array([None, "not-coprime", "not-primitive-root"], dtype=object)
+# The largest conductor with a table: a table is 40 * ell bytes, 42 MB
+# at this cap.
+_TABLE_LIMIT = 2**20
 
 
 @lru_cache(maxsize=None)
-def _order_mod_ell(residue: int, ell: int) -> int:
-    # Unbounded: each conductor ell adds at most ell - 1 entries, and a
-    # conductor search only meets the primes up to its ell_max.
-    return mult_order(residue, ell)
+def _conductor_table(ell: int) -> np.ndarray | None:
+    """Every conductor fact about ell, by residue r mod ell: an int64
+    array of five rows, or None when ell is not a prime >= 3.
+
+    conductor_failure, local_data and unit_count read single entries;
+    the sweep's block engine gathers whole columns.  With g the least
+    primitive root mod ell and d = ell - 1, ind[r] is the discrete log
+    of r to base g, read off the d powers of g; the other rows follow
+    from k = ind[r].  tag[r] is 1 (not-coprime) at r = 0, 0 (accepted)
+    where gcd(k, d) = 1, that is where r is a primitive root, and 2
+    (not-primitive-root) elsewhere.  For a prime p = r mod ell,
+    local_data's m is gcd(k, d), f = d / m is the order of p, and
+    inv[r] = (k / m)**-1 mod f, computed as (k / m)**(2 lambda(d) - 1)
+    mod f, since lambda(f) divides lambda(d) and 2 lambda(d) - 1 >= 1.
+    For n a primitive root, p = (n**m)**z with z = (k / m) / ind[n]
+    mod f, so t = z**-1 mod f is ind[n] * inv[r] mod f, and 0 when
+    f = 1.  Column 0 holds tag 1 and the other values of r = 1.  A
+    prime past _TABLE_LIMIT raises BudgetExceeded.
+    """
+    if ell < 3 or not is_prime(ell):
+        return None
+    if ell > _TABLE_LIMIT:
+        raise BudgetExceeded(f"conductor {ell} is past the table cap of {_TABLE_LIMIT}")
+    d = ell - 1
+    factors = numth.factorize(d).factors
+    g = next(g for g in range(2, ell) if all(pow(g, d // q, ell) != 1 for q, _ in factors))
+    # g**k for k < d as g**(step * i + j): giant steps i by baby steps j.
+    step = math.isqrt(d - 1) + 1
+    giant, baby = (_powers(base, step, ell) for base in (pow(g, step, ell), g))
+    powers = (giant[:, None] * baby % ell).ravel()[:d]
+    k = np.arange(d)
+    m = np.ones(d, dtype=np.int64)  # gcd(k, d), built up a prime power of d at a time
+    for q, e in factors:
+        for j in range(1, e + 1):
+            m[:: q**j] *= q
+    f = d // m
+    table = np.empty((5, ell), dtype=np.int64)
+    table[:, 0] = (1, 0, d, 1, 0)
+    inv = numth._pow_mod(k // m, 2 * numth.carmichael_lambda(d) - 1, f)
+    table[:, powers] = (np.where(m == 1, 0, 2), k, m, f, inv)
+    return table
+
+
+def _powers(base: int, count: int, modulus: int) -> np.ndarray:
+    """base**j % modulus for j < count, as an int64 array."""
+    steps = itertools.accumulate(itertools.repeat(base, count - 1), lambda x, y: x * y % modulus, initial=1)
+    return np.array(list(steps), dtype=np.int64)
 
 
 def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
@@ -367,35 +412,22 @@ class PrimeLocalData:
 def local_data(n: int, ell: int, p: int) -> PrimeLocalData:
     """Local invariants of prime p for the ring with conductor ell.
 
-    n**m generates the order-f subgroup of (Z/ell)^* that holds p, so z
-    is found by walking its f powers.  Raises ArithmeticError when p is
-    not among them, which happens only when n is not a primitive root.
+    f, m and t are read from the conductor's table at p mod ell and
+    n mod ell, and z = t**-1 mod f.  Raises InvalidConductor when ell
+    is not a prime, NotCoprime when ell divides p, and ArithmeticError
+    when f > 1 and t is not coprime to f: p is then not a power of n**m
+    mod ell, which happens only when n is not a primitive root.
     """
-    f, m, z, t = _local_residues(n % ell, ell, p % ell)
-    return PrimeLocalData(p=p, f=f, m=m, z=z, t=t)
-
-
-# Entries of the local_data memo, which serves examine (so count) and
-# local_data; a sweep reads its own tables instead.  examine over every
-# odd n up to 10**5 under the smallest conductor, as the tests run it,
-# meets 1766 residue triples, and over 2000 odd n from 10**12 + 1, 553.
-_LOCAL_CACHE_SIZE = 8192
-
-
-@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
-def _local_residues(n: int, ell: int, p: int) -> tuple[int, int, int, int]:
-    """local_data's (f, m, z, t), memoised by the only values it reads:
-    n mod ell, ell and p mod ell (callers pass the residues).  An
-    ArithmeticError is raised afresh on every call, as lru_cache keeps
-    no exceptions."""
-    f = _order_mod_ell(p % ell, ell)
-    m = (ell - 1) // f
-    g, power = pow(n, m, ell), 1
-    for z in range(f):
-        if power == p % ell:
-            return f, m, z, pow(z, -1, f) if f > 1 else 0
-        power = power * g % ell
-    raise ArithmeticError(f"{p} is not a power of {n}**{m} mod {ell}")
+    table = _conductor_table(ell)
+    if table is None:
+        raise InvalidConductor(f"ell={ell}: conductor-not-prime")
+    if p % ell == 0:
+        raise NotCoprime(f"gcd({p}, {ell}) > 1")
+    _, _, m, f, inv = table[:, p % ell].tolist()
+    t = int(table[_IND, n % ell]) * inv % f
+    if f > 1 and math.gcd(t, f) != 1:
+        raise ArithmeticError(f"{p} is not a power of {n}**{m} mod {ell}")
+    return PrimeLocalData(p=p, f=f, m=m, z=pow(t, -1, f) if f > 1 else 0, t=t)
 
 
 def _conductor_counts(fac: Factorization, ell: int) -> tuple[int, int, int]:
@@ -457,8 +489,9 @@ def unit_count(n: int | Factorization, ell: int) -> int:
     RingDescriptor(fac.n, ell)
     d = ell - 1
     result = 1
+    table = _conductor_table(ell)
     for p, v in fac.factors:
-        f = _order_mod_ell(p % ell, ell)
+        f = int(table[_F, p % ell])
         m = d // f
         result *= p ** ((v - 1) * d) * (p**f - 1) ** m
     return result

@@ -560,17 +560,18 @@ def test_block_gives_no_conductor_rows(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("policy", POLICIES, ids=POLICY_IDS)
 def test_block_engine_needs_no_conductor_memo(monkeypatch, policy, workers):
-    """The engine reads conductors and local data from its own tables:
-    with galois's residue memos raising, a sweep gives the same rows."""
+    """The engine gathers conductors and local data from the conductor
+    tables alone: with the per-n lookups that examine makes raising, a
+    sweep gives the same rows."""
     reference = []
     agg = sweep(20001, 2, policy, record_sink=reference.append)
 
-    def memo(*args):
-        raise AssertionError("the block engine called a galois memo")
+    def lookup(*args):
+        raise AssertionError("the block engine made a per-n conductor lookup")
 
-    for module in (galois, analysis):  # analysis would hold the names it imported
-        for name in ("_residue_failure", "_local_residues"):
-            monkeypatch.setattr(module, name, memo, raising=False)
+    for module in (galois, analysis):  # analysis holds the names it imported
+        for name in ("conductor_failure", "find_conductor", "local_data", "_conductor_counts"):
+            monkeypatch.setattr(module, name, lookup, raising=False)
     rows = []
     assert sweep(20001, 2, policy, workers=workers, record_sink=rows.append) == agg
     assert_same_records(rows, reference)

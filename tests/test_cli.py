@@ -614,6 +614,26 @@ def test_constants_bound_above_sieve_cap_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,ell",
+    [
+        (("test", "1000003", "--ell", "1048589"), 1048589),
+        (("test", "15", "--ell", "1048583"), 1048583),  # a Miller-Rabin round would find 15 composite
+        (("count", "15", "--ell", "fixed:1048583"), 1048583),
+    ],
+    ids=["test-prime", "test-composite", "count"],
+)
+def test_a_conductor_past_the_table_cap_exits_1_at_once(argv, ell):
+    """Every entry point that takes a conductor reads its table, so one
+    past the cap of 2**20 stops before any ring of degree ell - 1 is built."""
+    start = time.perf_counter()
+    proc = run_cli(*argv)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert _error_lines(proc.stderr) == [f"error: conductor {ell} is past the table cap of {2**20}"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_oracle_check_past_brute_budget_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(numth, "_BRUTE_LIMIT", 20)
     assert cli.main(["oracle-check", "--suite", "f", "--max", "31"]) == 1

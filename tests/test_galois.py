@@ -1,10 +1,11 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 
-from witnesslab import analysis, galois
+from witnesslab import analysis, galois, numth
 from witnesslab.galois import (
     InvalidConductor,
     NoConductor,
@@ -27,7 +28,7 @@ from witnesslab.galois import (
     sigma_apply,
     unit_count,
 )
-from witnesslab.numth import BudgetExceeded, factorize, is_prime, mult_order, primes_up_to
+from witnesslab.numth import BudgetExceeded, NotCoprime, factorize, is_prime, mult_order, primes_up_to
 from witnesslab.witness import count_F
 
 
@@ -73,6 +74,7 @@ def test_conductor_failure_reasons():
     assert conductor_failure(7, 3) == "not-primitive-root"
     assert conductor_failure(9, 3) == "not-coprime"
     assert conductor_failure(35, 9) == "conductor-not-prime"
+    assert conductor_failure(35, 2) == "conductor-not-prime"
 
 
 # -- ring arithmetic --------------------------------------------------------
@@ -425,37 +427,90 @@ def _derived_local_data(n, ell, p):
     return PrimeLocalData(p=p, f=f, m=m, z=z, t=pow(z, -1, f) if f > 1 else 0)
 
 
-def test_local_data_memo_equals_the_derivation():
-    """The memo, keyed by (n mod ell, ell, p mod ell), gives every residue
-    triple the unmemoised values with the caller's p; a failure is raised
-    again on every call, since lru_cache keeps no exceptions."""
-    assert galois._local_residues.cache_info().maxsize == galois._LOCAL_CACHE_SIZE < math.inf
-    unmemoised = galois._local_residues.__wrapped__
+def _enumerated_Gal(n, ell):
+    """count_Gal(n, ell) by enumerating each local ring: for each p**e || n,
+    the units x of (Z/p**e)[X]/Phi_ell with sigma(x) = x**n, counted over
+    all (p**e)**d elements by brute_Gal's block helpers on a stand-in
+    ring.  S is the product of these rings, so count_Gal is the
+    product of the counts.  x is a unit exactly when its norm, the
+    product of its d conjugates, is a unit mod p.  Uses no f, z, t or
+    local_data; a local ring past numth._BRUTE_LIMIT raises BudgetExceeded."""
+    d = ell - 1
+    count = 1
+    for p, e in factorize(n).factors:
+        q = p**e
+        total = q**d
+        if total > numth._BRUTE_LIMIT:
+            raise BudgetExceeded(f"{q}**{d} elements exceed {numth._BRUTE_LIMIT}")
+        ring = types.SimpleNamespace(d=d, ell=ell, n=q, sigma_exponent=n % ell)
+        local = 0
+        for low in range(0, total, galois._BRUTE_BLOCK):
+            index = np.arange(low, min(low + galois._BRUTE_BLOCK, total), dtype=np.int64)
+            x = np.array([index // q**i % q for i in range(d)])
+            norm = x
+            for j in range(1, d):
+                norm = galois._block_mul(ring, norm, galois._block_sigma(ring, x, j))
+            assert not norm[1:].any(), "ring norm must be a constant"
+            match = (galois._block_pow(ring, x, n) == galois._block_sigma(ring, x)).all(axis=0)
+            local += int(np.count_nonzero((norm[0] % p != 0) & match))
+        count *= local
+    return count
+
+
+# The composites below 200 with conductor 5 whose local rings all fit
+# the enumeration budget.  Their primes have residue degree f = 1, 2 and
+# 4; f = 2 (1 < f < d), which no ell = 3 check reaches, at 19 in 57 and
+# 133 and at 29 in 87.
+LOCALLY_ENUMERATED = (27, 33, 57, 63, 77, 87, 93, 117, 133, 143, 153, 187)
+
+
+@pytest.mark.parametrize("n", LOCALLY_ENUMERATED)
+def test_count_Gal_against_local_enumeration(n):
+    assert count_Gal(n, 5) == _enumerated_Gal(n, 5)
+
+
+def test_local_enumeration_covers_ell_5_below_200_within_its_budget():
+    covered = [n for n in range(9, 200, 2) if not is_prime(n) and conductor_failure(n, 5) is None]
+    assert [n for n in covered if n not in LOCALLY_ENUMERATED] == [123, 147, 177, 183]
+    assert set(LOCALLY_ENUMERATED) < set(covered)
+    for n, ell in ((123, 5), (147, 5), (177, 5), (183, 5), (33, 7)):  # 41**4, 49**4, 59**4, 61**4, 11**6
+        with pytest.raises(BudgetExceeded):
+            _enumerated_Gal(n, ell)
+
+
+def test_local_data_table_equals_the_derivation():
+    """local_data, read from the conductor table at (n mod ell, p mod ell),
+    gives every residue pair (n = 0 mod ell included) and two lifts of it
+    the derived values with the caller's p; a failure is raised again on
+    every call, since the table keeps values, not exceptions, and p = 0
+    mod ell raises NotCoprime."""
     for ell in (3, 5, 7, 11, 13):
-        for n_res in range(1, ell):
-            for p_res in range(1, ell):
+        for n_res in range(ell):
+            for p_res in range(ell):
                 for n, p in ((n_res, p_res), (n_res + 4 * ell, p_res + 10 * ell), (n_res + 2 * ell, p_res + 6 * ell)):
+                    if p_res == 0:
+                        with pytest.raises(NotCoprime):
+                            local_data(n, ell, p)
+                        continue
                     want = _derived_local_data(n, ell, p)
                     if want is None:
                         for _ in range(2):
                             with pytest.raises(ArithmeticError):
                                 local_data(n, ell, p)
-                            with pytest.raises(ArithmeticError):
-                                unmemoised(n, ell, p)
                         continue
-                    assert local_data(n, ell, p) == want == PrimeLocalData(p, *unmemoised(n, ell, p))
-                    assert galois._local_residues(n_res, ell, p_res) == unmemoised(n, ell, p)
+                    assert local_data(n, ell, p) == want
 
 
 def test_sweep_conductor_tables_equal_the_definitions():
-    """The block engine's tables, at every residue pair of every prime
-    ell <= 211, all gathered in one call: each tag against mult_order,
-    and f, m and t against their definitions (f the order of p, m = d / f,
-    t the j in [0, f) with p**j = n**m mod ell, which is z**-1 mod f); up
-    to ell = 61, every pair against _derived_local_data itself."""
+    """The conductor tables, at every residue pair of every prime
+    ell <= 211, all gathered in one call as the block engine gathers
+    them: each tag against mult_order, and f, m and t against their
+    definitions (f the order of p, m = d / f, t the j in [0, f) with
+    p**j = n**m mod ell, which is z**-1 mod f); up to ell = 61, every
+    pair against _derived_local_data itself."""
     pairs = []
     for ell in primes_up_to(211)[1:]:
-        tags = analysis._SKIP_TAGS[analysis._conductor_table(ell)[analysis._TAG]].tolist()
+        tags = galois._SKIP_TAGS[galois._conductor_table(ell)[galois._TAG]].tolist()
         orders = [None] + [mult_order(r, ell) for r in range(1, ell)]
         assert tags == ["not-coprime"] + [
             None if order == ell - 1 else "not-primitive-root" for order in orders[1:]
@@ -473,14 +528,21 @@ def test_sweep_conductor_tables_equal_the_definitions():
 
 
 def test_sweep_conductor_tables_are_kept_and_capped(monkeypatch):
-    """A table is made once per process; a composite candidate has none,
-    and a prime past the cap raises BudgetExceeded, which a sweep with
-    that fixed conductor raises before any chunk runs."""
-    assert analysis._conductor_table(9) is None
-    assert analysis._conductor_table(7) is analysis._conductor_table(7)
-    monkeypatch.setattr(analysis, "_TABLE_LIMIT", 7)
+    """A table is made once per process; a composite candidate and ell < 3
+    have none (so local_data raises InvalidConductor), and a prime past
+    the cap raises BudgetExceeded, in the scalar lookups as in a sweep
+    with that fixed conductor, which raises it before any chunk runs."""
+    assert galois._conductor_table(9) is None
+    assert galois._conductor_table(2) is None
+    with pytest.raises(InvalidConductor):
+        local_data(35, 9, 5)
+    assert galois._conductor_table(7) is galois._conductor_table(7)
+    galois._conductor_table.cache_clear()  # so that no table for 11 is kept from an earlier test
+    monkeypatch.setattr(galois, "_TABLE_LIMIT", 7)
     with pytest.raises(BudgetExceeded):
-        analysis._conductor_table.__wrapped__(11)
+        conductor_failure(35, 11)
+    with pytest.raises(BudgetExceeded):
+        local_data(35, 11, 5)
     monkeypatch.setattr(analysis, "_process_chunk", None)  # no chunk may run
     with pytest.raises(BudgetExceeded):
         analysis.sweep(99, 2, analysis.FixedEll(11))
