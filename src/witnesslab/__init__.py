@@ -49,7 +49,7 @@ from .galois import (
     sigma_apply,
     unit_count,
 )
-from .product import StrongerVerdict, count_Str, mc_density, stronger_test
+from .product import StrongerVerdict, count_Str, stronger_test
 from .analysis import (
     AdversarialConfig,
     AdversarialOutcome,

@@ -4,14 +4,11 @@ Its bad-witness count is multiplicative, count_MR(n)**r * count_Gal(n),
 which is what makes the product strictly stronger than either factor
 alone.  Each round returns None when n passes it and otherwise the
 evidence of a composite verdict, so stronger_test runs the Galois round
-only when every Miller-Rabin round passed.  mc_density estimates the
-same quantity empirically by sampling witness tuples, as a sanity check
-on the closed forms.
+only when every Miller-Rabin round passed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import galois, witness
@@ -48,6 +45,17 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     from stream i of the counter-based rng; the Galois round uses
     stream r.  Draws: uniform bases in [1, n) for the Miller-Rabin
     rounds, a uniform nonzero element of S for the Galois round.
+
+    So each round's outcome law is exact.  A round passes with
+    count_MR/(n - 1), ends in ("factor", g) with (n - 1 - phi(n))/(n - 1)
+    and otherwise in ("mr-round", i).  With N = n**d - 1, the Galois
+    round passes with count_Gal/N, ends in sigma-mismatch with
+    (unit_count - count_Gal)/N and otherwise in ("factor", g) or
+    not-a-unit.  A verdict is probably-prime with probability
+    count_Str / ((n - 1)**r * N), except that stream i + 1 starts four
+    raw 64-bit words into stream i, so a round that draws more words
+    shares them with the next.  The streams depend on the seed, not on
+    n, so verdicts for different n under one seed share their raw draws.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
@@ -70,13 +78,6 @@ def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
             return x
 
 
-def _draw_unit(R: RingDescriptor, gen) -> tuple[int, ...]:
-    while True:
-        x = _draw_nonzero(R, gen)
-        if galois.invertibility(R, x) == 1:
-            return x
-
-
 def count_Str(n: int | Factorization, r: int, ell: int) -> int:
     """Exact bad-witness count of the combined test; n is factored once."""
     if r < 0:
@@ -84,45 +85,3 @@ def count_Str(n: int | Factorization, r: int, ell: int) -> int:
     fac = _factored(n)
     return witness.count_MR(fac) ** r * galois.count_Gal(fac, ell)
 
-
-def mc_density(
-    n: int, r: int, ell: int, samples: int, seed: int | None = None
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the combined bad-witness density.
-
-    Samples tuples of r uniform unit bases plus one uniform unit of S
-    and returns (fraction passing every round, binomial standard
-    error).  The expected value is
-    (count_MR/phi)**r * count_Gal/unit_count.  Reproducible for a
-    fixed seed.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    R = RingDescriptor(n, ell)
-    gen = CounterRng.coerce(seed).stream(0)
-    hits = 0
-    for _ in range(samples):
-        ok = True
-        for _ in range(r):
-            a = _draw_unit_base(n, gen)
-            if not witness.mr_witness(n, a):
-                ok = False
-                break
-        if ok:
-            ok = galois.galois_test(R, _draw_unit(R, gen)) is None
-        if ok:
-            hits += 1
-    density = hits / samples
-    stderr = math.sqrt(density * (1.0 - density) / samples)
-    return density, stderr
-
-
-def _draw_unit_base(n: int, gen) -> int:
-    while True:
-        a = draw_int(gen, 1, n)
-        if math.gcd(a, n) == 1:
-            return a

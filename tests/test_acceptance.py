@@ -33,7 +33,8 @@ from witnesslab.galois import (
     local_data,
 )
 from witnesslab.numth import euler_phi, factorize, is_prime, primes_up_to
-from witnesslab.product import PROBABLY_PRIME, count_Str, mc_density, stronger_test
+from witnesslab.product import PROBABLY_PRIME, count_Str, stronger_test
+from witnesslab.rng import CounterRng
 from witnesslab.witness import brute_F, brute_MR, count_F, count_MR, is_carmichael
 
 X_FULL = 100_000
@@ -158,9 +159,15 @@ def test_c08_adversarial_floor():
 
 
 def test_c09_density_monte_carlo():
-    est, se = mc_density(35, 1, 3, 20_000, seed=7)
-    exact = 1 / 288  # (MR/phi) * (Gal/units) = (2/24) * (36/864)
-    assert abs(est - exact) <= 3 * se
+    """stronger_test's pass rate on 35 is Str / ((n - 1)**r (n**d - 1))."""
+    trials = 20_000
+    exact = 1 / 578  # (MR/(n-1)) * (Gal/(n**2-1)) = (2/34) * (36/1224)
+    passes = sum(
+        stronger_test(35, 1, 3, CounterRng(seed)).outcome == PROBABLY_PRIME
+        for seed in range(trials)
+    )
+    se = math.sqrt(exact * (1 - exact) / trials)
+    assert abs(passes / trials - exact) <= 3 * se
 
 
 def test_c10_prime_robustness():

@@ -4,13 +4,15 @@ import random
 import subprocess
 import sys
 import threading
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from witnesslab import product, witness
-from witnesslab.galois import NoConductor, PerfectPower
-from witnesslab.numth import euler_phi, is_prime, primes_up_to
-from witnesslab.product import PROBABLY_PRIME, count_Str, mc_density, stronger_test
+from witnesslab.galois import NoConductor, PerfectPower, find_conductor
+from witnesslab.numth import euler_phi, factorize, is_prime, primes_up_to
+from witnesslab.product import PROBABLY_PRIME, count_Str, stronger_test
 from witnesslab.rng import CounterRng, draw_int
 from witnesslab.witness import count_MR
 from witnesslab.galois import count_Gal, unit_count
@@ -90,42 +92,87 @@ def test_stronger_test_zero_rounds_still_runs_galois():
     assert "composite" in seen
 
 
-def test_mc_density_regression():
-    est, se = mc_density(35, 1, 3, 2000, seed=7)
-    assert est == pytest.approx(0.003)
-    assert se == pytest.approx(0.0012229063741758812, rel=1e-12)
-    assert mc_density(35, 1, 3, 2000, seed=7) == (est, se)
-
-
-def test_mc_density_tracks_exact_ratio():
-    """The estimate stays within 3 standard errors of the exact density."""
-    cases = [(35, 1, 3), (65, 1, 3), (35, 2, 3)]
-    for n, r, ell in cases:
-        exact = (
-            count_MR(n) ** r
-            / euler_phi(n) ** r
-            * count_Gal(n, ell)
-            / unit_count(n, ell)
-        )
-        est, se = mc_density(n, r, ell, 8000, seed=11)
-        assert abs(est - exact) <= 3 * max(se, 1e-9), (n, r, ell, est, exact)
-
-
 @pytest.mark.parametrize("n,r", [(1, 1), (34, 1), (35, -1)])
-def test_mc_density_rejects_bad_inputs_before_sampling(monkeypatch, n, r):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("mc_density sampled for a rejected input")
+def test_stronger_test_rejects_bad_inputs_before_drawing(monkeypatch, n, r):
+    def no_drawing(*args, **kwargs):
+        raise AssertionError("stronger_test drew for a rejected input")
 
-    monkeypatch.setattr(product, "CounterRng", no_sampling)
+    monkeypatch.setattr(product, "CounterRng", no_drawing)
     message = "r must be >= 0" if r < 0 else "n must be odd and >= 3"
     with pytest.raises(ValueError, match=message):
-        mc_density(n, r, 3, 50, seed=1)
+        stronger_test(n, r, 3, rng=1)
 
 
-def test_mc_density_different_seeds_differ():
-    a = mc_density(35, 1, 3, 2000, seed=1)
-    b = mc_density(35, 1, 3, 2000, seed=2)
-    assert a != b
+def _covered_composites(ell, below=2000):
+    """The odd composites below `below` whose conductor is ell."""
+    covered = []
+    for n in range(9, below, 2):
+        try:
+            if not is_prime(n) and find_conductor(n) == ell:
+                covered.append(n)
+        except (PerfectPower, NoConductor):
+            pass
+    return covered
+
+
+def _outcome_law(n, r, ell):
+    """Exact probability of each outcome class of stronger_test(n, r, ell), r <= 1."""
+    fac = factorize(n)
+    N = n ** (ell - 1) - 1
+    S, G = unit_count(fac, ell), count_Gal(fac, ell)
+    law = {"pass": Fraction(G, N), "sigma-mismatch": Fraction(S - G, N), "non-unit": Fraction(N - S, N)}
+    if r == 0:
+        return law
+    phi, M = euler_phi(n), count_MR(fac)
+    law = {outcome: Fraction(M, n - 1) * p for outcome, p in law.items()}
+    law["mr-round"] = Fraction(phi - M, n - 1)
+    # ("factor", g) comes from a non-unit base or a non-unit ring element
+    law["non-unit"] += Fraction(n - 1 - phi, n - 1)
+    return law
+
+
+def _outcome_class(verdict):
+    if verdict.evidence is None:
+        return "pass"
+    if verdict.evidence[0] == "mr-round":
+        return "mr-round"
+    if verdict.evidence == ("galois-round", "sigma-mismatch"):
+        return "sigma-mismatch"
+    return "non-unit"  # ("factor", g) or ("galois-round", "not-a-unit")
+
+
+# The chi-squared quantile at p = 1e-6, by degrees of freedom.
+_CHI2_BOUND = {2: 27.63, 3: 30.66}
+
+
+@pytest.mark.parametrize("r,ell,trials", [(0, 3, 200), (1, 3, 2000), (1, 5, 500)])
+def test_stronger_test_follows_its_outcome_law(r, ell, trials):
+    """stronger_test's own draws against the exact law, pooled over every covered composite.
+
+    Each (n, r, trial) has its own seed: under one seed the raw draws are
+    the same for every n, so their verdicts would be correlated.
+    """
+    seen, expected, pass_variance = Counter(), Counter(), 0.0
+    for n in _covered_composites(ell):
+        law = _outcome_law(n, r, ell)
+        assert sum(law.values()) == 1
+        for outcome, p in law.items():
+            expected[outcome] += trials * float(p)
+        pass_variance += trials * float(law["pass"] * (1 - law["pass"]))
+        for trial in range(trials):
+            verdict = stronger_test(n, r, ell, CounterRng(n << 40 | r << 32 | trial))
+            seen[_outcome_class(verdict)] += 1
+    if expected["pass"] < 5:
+        # too rare to stand alone (at ell = 5 fewer than 1 in 10^5 verdicts pass):
+        # it joins the other unit outcome
+        expected["sigma-mismatch"] += expected.pop("pass")
+        seen["sigma-mismatch"] += seen.pop("pass", 0)
+    else:
+        z = (seen["pass"] - expected["pass"]) / pass_variance**0.5
+        assert abs(z) <= 5, (z, seen, expected)
+    assert set(seen) <= set(expected), seen
+    chi2 = sum((seen[outcome] - e) ** 2 / e for outcome, e in expected.items())
+    assert chi2 <= _CHI2_BOUND[len(expected) - 1], (chi2, seen, expected)
 
 
 def test_seeded_verdicts_frozen():

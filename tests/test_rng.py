@@ -74,6 +74,27 @@ def test_big_draws_fall_in_range(low, high):
     assert 100 < sum(a >= low + (high - low) // 2 for a in draws) < 250
 
 
+# The chi-squared quantile at p = 1e-6 with 15 degrees of freedom.
+_CHI2_15_BOUND = 56.49
+
+
+@pytest.mark.parametrize("span", [2**64 + 1, 3 * 2**64, 2**127 - 1], ids=["2^64+1", "3*2^64", "2^127-1"])
+@pytest.mark.parametrize("size", [None, 8000], ids=["scalar", "size"])
+def test_big_draws_are_uniform(span, size):
+    # Above 2**63 draw_int rejects raw values past the span: about half
+    # of them at 2**64 + 1, a quarter at 3 * 2**64.
+    low, draws = 5, 8000
+    gen = CounterRng(12 if size is None else 13).stream(0)
+    if size is None:
+        values = [draw_int(gen, low, low + span) for _ in range(draws)]
+    else:
+        values = draw_int(gen, low, low + span, size)
+    buckets = np.bincount([(a - low) * 16 // span for a in values], minlength=16)
+    expected = draws / 16
+    chi2 = float(((buckets - expected) ** 2).sum() / expected)
+    assert len(buckets) == 16 and chi2 <= _CHI2_15_BOUND, (chi2, buckets)
+
+
 def test_big_draws_are_reproducible():
     a = draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
     assert a == draw_int(CounterRng(4).stream(2), 1, 2**127 - 1, 5)
