@@ -7,8 +7,8 @@ split of the range and any worker count.  Chunk order only orders the
 records handed to the sink.  Every chunk comes from one engine,
 _block_columns, which sieves it with the odd primes up to its square
 root, a prefix of the primes sweep sieves once up to isqrt(x_max); the
-sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, as sweep checks
-before any chunk runs.  The engine reads each conductor through the
+sieve's cap of 10**8 keeps x_max below (10**8 + 1)**2, which the sieve
+checks before any chunk.  The engine reads each conductor through the
 table of discrete logs galois keeps for it (_conductor_table), which
 examine's scalar lookups read too.  Chunks are made lazily.  With
 more than one worker, sweep forks its workers with os.fork; each runs
@@ -57,11 +57,11 @@ from .galois import (
     NoConductor,
 )
 from .numth import (
-    _SIEVE_LIMIT,
-    BudgetExceeded,
     _iroot,
+    _odd_n,
     _odd_primes,
     _pow_mod,
+    _rounds,
     factorize,
     is_prime,
     lcm_range,
@@ -85,7 +85,7 @@ class FixedEll:
     ell: int
 
     def __post_init__(self):
-        if self.ell < 3 or not is_prime(self.ell):
+        if operator.index(self.ell) < 3 or not is_prime(self.ell):
             raise ValueError(f"conductor must be an odd prime, got {self.ell}")
 
 
@@ -96,7 +96,7 @@ class SmallestEll:
     ell_max: int = DEFAULT_ELL_MAX
 
     def __post_init__(self):
-        if self.ell_max < 3:
+        if operator.index(self.ell_max) < 3:
             raise ValueError(f"ell_max must be >= 3, got {self.ell_max}")
 
 
@@ -254,10 +254,7 @@ class SweepAggregate:
 
 def examine(n: int, r: int, policy) -> SweepRecord:
     """Build the sweep record for one odd n, factored once for every count."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    n, r = _odd_n(n), _rounds(r)
     if not isinstance(policy, (FixedEll, SmallestEll)):
         raise TypeError(f"unknown conductor policy: {policy!r}")
     fac = factorize(n)
@@ -538,10 +535,13 @@ def _aggregate(cols: _Columns, r: int) -> SweepAggregate:
     )
 
 
-_ROW_TEMPLATES = {
-    "csv": ",".join(["%s"] * len(SweepRecord._fields)) + "\n",
-    "json": "{" + ",".join(f'"{name}":%s' for name in SweepRecord._fields) + "}\n",
-}
+def _row_template(row_format: str) -> str:
+    """The line template of a row in row_format, "csv" or "json"; ValueError for any other."""
+    if row_format == "csv":
+        return ",".join(["%s"] * len(_Columns._fields)) + "\n"
+    if row_format == "json":
+        return "{" + ",".join(f'"{name}":%s' for name in _Columns._fields) + "}\n"
+    raise ValueError(f"row_format must be 'csv' or 'json', got {row_format!r}")
 
 
 def _render(cols: _Columns, row_format: str) -> str:
@@ -571,12 +571,12 @@ def _render(cols: _Columns, row_format: str) -> str:
     tags = cols.skip.tolist()
     quoted = {tag: null if tag is None else tag if as_csv else f'"{tag}"' for tag in set(tags)}
     flat[10::width] = map(quoted.__getitem__, tags)
-    return (_ROW_TEMPLATES[row_format] * rows) % tuple(flat)
+    return (_row_template(row_format) * rows) % tuple(flat)
 
 
 def render_records(records, row_format: str = "csv") -> str:
     """SweepRecords as the text lines a sweep writes ("csv" or "json")."""
-    n, composite, *counts, ell, skip = (np.array(col, dtype=object) for col in zip(*records))
+    n, composite, *counts, ell, skip = np.array(records, dtype=object).reshape(-1, len(_Columns._fields)).T
     ell[np.equal(ell, None)] = 0
     return _render(_Columns(n, composite.astype(bool), *counts, ell, skip), row_format)
 
@@ -619,29 +619,26 @@ def sweep(
     workers start than there are chunks, and none without os.fork.
     The arguments are checked before any chunk runs: ValueError for a
     bad range, round count, worker count or row format, TypeError for a
-    policy that is neither FixedEll nor SmallestEll, and BudgetExceeded
-    when isqrt(x_max) is past the sieve cap or a fixed conductor past
-    the table cap.  The odd primes up to isqrt(x_max) are sieved once,
-    before any worker forks, and every chunk sieves with a prefix of
-    them.
+    round count that is not an integer or a policy that is neither
+    FixedEll nor SmallestEll, and BudgetExceeded past the sieve cap or
+    a fixed conductor past the table cap.  The odd primes up to
+    isqrt(x_max) are sieved once, before any worker forks, and every
+    chunk sieves with a prefix of them.
     """
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
     if not isinstance(policy, (FixedEll, SmallestEll)):
         raise TypeError(f"unknown conductor policy: {policy!r}")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    r = _rounds(r)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if row_format not in (None, "csv", "json"):
-        raise ValueError(f"row_format must be None, 'csv' or 'json', got {row_format!r}")
-    if math.isqrt(x_max) > _SIEVE_LIMIT:
-        raise BudgetExceeded(f"sweep to {x_max} needs sieving primes past the cap of {_SIEVE_LIMIT}")
+    if row_format is not None:
+        _row_template(row_format)
+    primes = _odd_primes(math.isqrt(x_max))  # BudgetExceeded past the sieve cap
     if isinstance(policy, FixedEll):
         _conductor_table(policy.ell)  # built before any fork, or BudgetExceeded past its cap
     starts, span = _chunk_ranges(x_max), 2 * _CHUNK_ODDS
     output = None if record_sink is None else (row_format or "records")
-    primes = _odd_primes(math.isqrt(x_max))
     chunk_args = ((a, min(a + span, x_max + 1), r, policy, output, primes) for a in starts)
     workers = min(workers, len(starts))
     if workers == 1 or not hasattr(os, "fork"):

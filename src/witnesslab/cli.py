@@ -11,11 +11,12 @@ with no error line, when stdout is a pipe whose reader has closed it.
 The default seed comes from the WITNESSLAB_SEED environment variable
 (0 when unset); --seed overrides it.  Every integer option is parsed
 by _checked_by, so a non-integer always reads "invalid int value".
-Only the library type that owns a value checks it (CounterRng a seed,
-FixedEll and SmallestEll a conductor option), so each rule has one
-message.  sweep replaces --out only when it completes; a --out that is
-not a regular file, such as /dev/null, is written in place, and one
-that is stdout's own file is written through sys.stdout.
+Only the library code that owns a value checks it (numth._odd_n an n,
+numth._rounds a round count, CounterRng a seed, FixedEll and
+SmallestEll a conductor option), so each rule has one message.  sweep
+replaces --out only when it completes; a --out that is not a regular
+file, such as /dev/null, is written in place, and one that is stdout's
+own file is written through sys.stdout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import stat
 import sys
 import tempfile
 
-from . import analysis, galois, product, witness
+from . import analysis, galois, numth, product, witness
 from .analysis import AdversarialConfig, FixedEll, SmallestEll
 from .galois import PerfectPower
 from .numth import BudgetExceeded, lcm_range
@@ -78,12 +79,6 @@ def _parse_modulus(text: str) -> int:
     if text.startswith("lcm:"):
         return _checked_by(lcm_range)(text.split(":", 1)[1])
     return _int_at_least(1)(text)
-
-
-def _odd_n(n: int) -> int:
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    return n
 
 
 def _conductor_arg(text: str) -> int | None:
@@ -256,22 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("test", help="run the combined Miller-Rabin + Galois test")
-    p.add_argument("n", type=_checked_by(_odd_n))
-    p.add_argument("--rounds", type=_int_at_least(0), default=2, help="Miller-Rabin rounds")
+    p.add_argument("n", type=_checked_by(numth._odd_n))
+    p.add_argument("--rounds", type=_checked_by(numth._rounds), default=2, help="Miller-Rabin rounds")
     p.add_argument("--ell", type=_conductor_arg, default="auto", help="conductor: auto or an odd prime")
     p.add_argument("--seed", type=_checked_by(CounterRng), default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("count", help="exact counts for one n as a CSV row")
-    p.add_argument("n", type=_checked_by(_odd_n))
-    p.add_argument("--rounds", type=_int_at_least(0), default=2)
+    p.add_argument("n", type=_checked_by(numth._odd_n))
+    p.add_argument("--rounds", type=_checked_by(numth._rounds), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="smallest",
                    help="fixed:<ell> or smallest[:<max>]")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sweep", help="counts for every odd n up to a bound")
     p.add_argument("--max", type=_int_at_least(3), required=True)
-    p.add_argument("--rounds", type=_int_at_least(0), default=2)
+    p.add_argument("--rounds", type=_checked_by(numth._rounds), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="fixed:3",
                    help="fixed:<ell> or smallest[:<max>]")
     p.add_argument("--out", required=True, help="row output path")

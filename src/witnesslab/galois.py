@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, is_prime
+from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _odd_n, is_prime
 
 DEFAULT_ELL_MAX = 2000
 
@@ -163,8 +163,7 @@ def find_conductor(n: int, ell_max: int = DEFAULT_ELL_MAX) -> int:
     PerfectPower(isqrt(n), 2); odd powers such as cubes can still be
     primitive roots.  Raises NoConductor when the bound is exhausted.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    n = _odd_n(n)
     root = math.isqrt(n)
     if root * root == n:
         raise PerfectPower(root, 2)

@@ -12,12 +12,14 @@ split off a prime p, so an n whose second-largest prime factor has up
 to about 40 bits fits (psi_13, two 41-bit primes, takes 1.8 million
 updates); larger ones raise BudgetExceeded instead of running for
 hours.  Trial division proves prime any factor below p**2, p the last
-trial prime reached; is_prime certifies the larger ones.
+trial prime reached; is_prime certifies the larger ones.  _odd_n and
+_rounds check n odd >= 3 and r >= 0 for every entry point taking them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -45,6 +47,22 @@ _BRUTE_LIMIT = 10**6
 # known counterexample.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
+
+
+def _odd_n(n: int) -> int:
+    """n as an int, checked odd and >= 3."""
+    n = operator.index(n)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 3")
+    return n
+
+
+def _rounds(r: int) -> int:
+    """A round count r as an int, checked >= 0."""
+    r = operator.index(r)
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    return r
 
 
 def _odd_primes(limit: int) -> np.ndarray:
@@ -263,6 +281,7 @@ def factorize(n: int) -> Factorization:
     Raises BudgetExceeded when splitting the cofactors left by trial
     division needs more than _RHO_BUDGET rho updates in all.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     remaining = n

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import galois, witness
 from .galois import RingDescriptor, find_conductor
-from .numth import Factorization, _factored
+from .numth import Factorization, _factored, _odd_n, _rounds
 from .rng import CounterRng, draw_int
 
 PROBABLY_PRIME = "probably-prime"
@@ -57,10 +57,7 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     shares them with the next.  The streams depend on the seed, not on
     n, so verdicts for different n under one seed share their raw draws.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    n, r = _odd_n(n), _rounds(r)
     streams = CounterRng.coerce(rng)
     if ell is None:
         ell = find_conductor(n)
@@ -80,8 +77,7 @@ def _draw_nonzero(R: RingDescriptor, gen) -> tuple[int, ...]:
 
 def count_Str(n: int | Factorization, r: int, ell: int) -> int:
     """Exact bad-witness count of the combined test; n is factored once."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    r = _rounds(r)
     fac = _factored(n)
     return witness.count_MR(fac) ** r * galois.count_Gal(fac, ell)
 

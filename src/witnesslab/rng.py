@@ -18,6 +18,7 @@ caller may hold several at once.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 
@@ -51,7 +52,7 @@ class CounterRng:
     """Family of independent streams keyed by (seed, index)."""
 
     def __init__(self, seed: int | None = None):
-        self.seed = default_seed() if seed is None else int(seed)
+        self.seed = default_seed() if seed is None else operator.index(seed)
         if not 0 <= self.seed < SEED_BOUND:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
@@ -89,11 +90,7 @@ class CounterRng:
     @classmethod
     def coerce(cls, value) -> "CounterRng":
         """Accept None (env/default seed), an int seed, or a CounterRng."""
-        if isinstance(value, cls):
-            return value
-        if value is None or isinstance(value, int):
-            return cls(value)
-        raise TypeError(f"cannot use {type(value).__name__} as rng")
+        return value if isinstance(value, cls) else cls(value)
 
 
 # Built on each thread's first _shared_stream call.

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import numth
-from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _pow_mod, two_adic_split
+from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _odd_n, _pow_mod, two_adic_split
 from .rng import CounterRng, draw_int
 
 
@@ -30,8 +30,7 @@ def fermat_witness(n: int, a: int) -> bool:
 def mr_witness(n: int, a: int) -> bool:
     """True when base a passes the Miller-Rabin test for odd n >= 3."""
     _check_base(n, a)
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
+    _odd_n(n)
     k, m = two_adic_split(n - 1)
     x = pow(a, m, n)
     if x == 1:
@@ -55,9 +54,7 @@ def _check_base(n: int, a: int) -> None:
 def count_F(n: int | Factorization) -> int:
     """Exact number of Fermat-passing bases: prod gcd(p-1, n-1)."""
     fac = _factored(n)
-    n = fac.n
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    n = _odd_n(fac.n)
     result = 1
     for p, _ in fac.factors:
         result *= math.gcd(p - 1, n - 1)
@@ -74,9 +71,7 @@ def count_MR(n: int | Factorization) -> int:
     fraction is the geometric sum 1 + 2**w + ... + 2**(w*(v-1)).
     """
     fac = _factored(n)
-    n = fac.n
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    n = _odd_n(fac.n)
     k, m = two_adic_split(n - 1)
     v, s = k, 1  # v <= k: every p = 1 mod 2**v makes n = 1 mod 2**v
     for p, _ in fac.factors:
@@ -105,8 +100,7 @@ def brute_F(n: int) -> int:
 
 def brute_MR(n: int) -> int:
     """Oracle: count Miller-Rabin-passing units by full enumeration."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("n must be odd and >= 3")
+    n = _odd_n(n)
     a = _unit_bases(n)
     k, m = two_adic_split(n - 1)
     x = _pow_mod(a, m, n)

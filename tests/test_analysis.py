@@ -149,14 +149,17 @@ def test_examine_skip_reasons():
     assert rec.Gal is None and not rec.covered
 
 
-@pytest.mark.parametrize("n,r", [(1, 2), (-5, 2), (34, 2), (35, -1)])
+@pytest.mark.parametrize("n,r", [(1, 2), (-5, 2), (34, 2), (35, -1), (35, 2.5), (35.0, 2)])
 def test_examine_rejects_bad_inputs_before_factoring(monkeypatch, n, r):
     def no_factoring(n):
         raise AssertionError("examine factored a rejected input")
 
     monkeypatch.setattr(analysis, "factorize", no_factoring)
-    message = "r must be >= 0" if n == 35 else "n must be odd and >= 3"
-    with pytest.raises(ValueError, match=message):
+    if isinstance(n, float) or isinstance(r, float):
+        error, message = TypeError, "cannot be interpreted as an integer"
+    else:
+        error, message = ValueError, "r must be >= 0" if n == 35 else "n must be odd and >= 3"
+    with pytest.raises(error, match=message):
         examine(n, r, FixedEll(3))
 
 
@@ -451,19 +454,25 @@ def test_a_chunk_error_in_a_worker_carries_its_traceback(monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda: FixedEll(9), lambda: FixedEll(2), lambda: FixedEll(1), lambda: FixedEll(-3),
-     lambda: SmallestEll(2), lambda: SmallestEll(0)],
-    ids=["fixed9", "fixed2", "fixed1", "fixed-3", "smallest2", "smallest0"],
+    "make, error",
+    [(lambda: FixedEll(9), ValueError), (lambda: FixedEll(2), ValueError), (lambda: FixedEll(1), ValueError),
+     (lambda: FixedEll(-3), ValueError), (lambda: SmallestEll(2), ValueError), (lambda: SmallestEll(0), ValueError),
+     (lambda: FixedEll(3.0), TypeError), (lambda: SmallestEll(10.5), TypeError)],
+    ids=["fixed9", "fixed2", "fixed1", "fixed-3", "smallest2", "smallest0", "fixed3.0", "smallest10.5"],
 )
-def test_policies_reject_invalid_values(make):
-    with pytest.raises(ValueError):
+def test_policies_reject_invalid_values(make, error):
+    with pytest.raises(error):
         make()
 
 
 def test_sweep_rejects_an_unknown_row_format():
-    with pytest.raises(ValueError):
+    """sweep and render_records share one check and its message."""
+    message = "row_format must be 'csv' or 'json', got 'xml'"
+    with pytest.raises(ValueError, match=message):
         sweep(99, 2, FixedEll(3), record_sink=print, row_format="xml")
+    for records in ([examine(35, 2, FixedEll(3))], []):
+        with pytest.raises(ValueError, match=message):
+            analysis.render_records(records, "xml")
 
 
 def _no_fork():
@@ -480,6 +489,9 @@ def test_sweep_with_an_unknown_policy_stops_before_any_chunk(monkeypatch, policy
             sweep(99, 2, policy, workers=workers)
         with pytest.raises(TypeError, match="unknown conductor policy"):
             sweep(99, 2, policy, workers=workers, record_sink=print, row_format="csv")
+        # So is a round count that is not an integer, under a known policy.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sweep(99, 2.5, FixedEll(3), workers=workers)
     assert chunks == []
 
 
@@ -615,15 +627,16 @@ def test_sweep_past_the_sieve_cap_stops_before_any_chunk(monkeypatch, tmp_path, 
             sweep(x_max, 2, FixedEll(3), workers=workers)
     assert cli.main(["sweep", "--max", str(x_max), "--out", str(tmp_path / "rows.csv")]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert captured.err == f"error: sieve capped at {10**8}, got {10**8 + 1}\n"
     assert captured.out == ""
     assert chunks == []
-    # The same boundary under a smaller cap, where the sweep just below it is short.
-    monkeypatch.setattr(analysis, "_SIEVE_LIMIT", 100)
+    # The same boundary under a smaller cap, where the sweep just below it is
+    # short; the cap is the sieve's own, which the trial primes (10**4) fit.
+    monkeypatch.setattr(numth, "_SIEVE_LIMIT", 10**4)
     with pytest.raises(numth.BudgetExceeded):
-        sweep(101**2, 2, FixedEll(3))
+        sweep((10**4 + 1) ** 2, 2, FixedEll(3))
     with pytest.raises(LookupError):
-        sweep(101**2 - 1, 2, FixedEll(3))
+        sweep((10**4 + 1) ** 2 - 1, 2, FixedEll(3))
     assert chunks == [(3, 4003)]
 
 
@@ -684,6 +697,7 @@ def test_rendered_rows_match_csv_writer_and_json_dumps(policy):
     assert analysis.CSV_HEADER + rendered["csv"] == expected_csv.getvalue()
     assert rendered["json"] == expected_json
     assert analysis.render_records(records[:3], "json") == "".join(expected_json.splitlines(True)[:3])
+    assert analysis.render_records([]) == analysis.render_records([], "json") == ""
 
 
 def test_block_checks_the_sieved_factorization(monkeypatch):

@@ -444,13 +444,16 @@ def _owner_message(make) -> str:
         (["count", "35", "--ell", "fixed:4"], None, 2, lambda: FixedEll(4)),
         (["test", "35", "--ell", "4"], None, 2, lambda: FixedEll(4)),
         (["count", "35", "--ell", "smallest:2"], None, 2, lambda: SmallestEll(2)),
+        (["test", "35", "--rounds", "-1"], None, 2, lambda: numth._rounds(-1)),
+        (["count", "35", "--rounds", "-1"], None, 2, lambda: numth._rounds(-1)),
     ],
-    ids=["seed-flag", "seed-env-2**128", "seed-env-negative", "count-fixed4", "test-ell4", "smallest2"],
+    ids=["seed-flag", "seed-env-2**128", "seed-env-negative", "count-fixed4", "test-ell4", "smallest2",
+         "test-rounds-1", "count-rounds-1"],
 )
 def test_each_value_is_reported_by_its_owner(monkeypatch, capsys, argv, env_seed, code, make):
-    """A seed is checked by CounterRng and a conductor option by FixedEll or
-    SmallestEll, wherever it comes from: one message per rule, exit 2 for a
-    flag and 1 for the environment."""
+    """A seed is checked by CounterRng, a conductor option by FixedEll or
+    SmallestEll and a round count by numth._rounds, wherever it comes from:
+    one message per rule, exit 2 for a flag and 1 for the environment."""
     monkeypatch.delenv("WITNESSLAB_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("WITNESSLAB_SEED", env_seed)

@@ -128,6 +128,8 @@ def test_factorize_examples():
     assert factorize(561).factors == ((3, 1), (11, 1), (17, 1))
     assert factorize(1).factors == ()
     assert factorize(2**10).factors == ((2, 10),)
+    with pytest.raises(TypeError):
+        factorize(35.0)
 
 
 def test_factorize_calls_is_prime_only_above_the_trial_square(monkeypatch):

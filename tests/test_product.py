@@ -30,6 +30,10 @@ def test_count_Str_is_a_product():
     for n in (35, 65, 341):
         for r in range(4):
             assert count_Str(n, r, 3) == count_MR(n) ** r * count_Gal(n, 3)
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        count_Str(35, -1, 3)
+    with pytest.raises(TypeError):
+        count_Str(35, 2.5, 3)
 
 
 def test_stronger_test_deterministic_under_seed():
@@ -92,14 +96,17 @@ def test_stronger_test_zero_rounds_still_runs_galois():
     assert "composite" in seen
 
 
-@pytest.mark.parametrize("n,r", [(1, 1), (34, 1), (35, -1)])
+@pytest.mark.parametrize("n,r", [(1, 1), (34, 1), (35, -1), (35, 2.5), (35.0, 1)])
 def test_stronger_test_rejects_bad_inputs_before_drawing(monkeypatch, n, r):
     def no_drawing(*args, **kwargs):
         raise AssertionError("stronger_test drew for a rejected input")
 
     monkeypatch.setattr(product, "CounterRng", no_drawing)
-    message = "r must be >= 0" if r < 0 else "n must be odd and >= 3"
-    with pytest.raises(ValueError, match=message):
+    if isinstance(n, float) or isinstance(r, float):
+        error, message = TypeError, "cannot be interpreted as an integer"
+    else:
+        error, message = ValueError, "r must be >= 0" if r < 0 else "n must be odd and >= 3"
+    with pytest.raises(error, match=message):
         stronger_test(n, r, 3, rng=1)
 
 

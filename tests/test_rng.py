@@ -34,6 +34,10 @@ def test_coerce():
     assert CounterRng.coerce(base) is base
     assert CounterRng.coerce(9).seed == 9
     assert CounterRng.coerce(None).seed == default_seed()
+    with pytest.raises(TypeError):
+        CounterRng(1.5)
+    with pytest.raises(TypeError):
+        CounterRng.coerce(1.5)
 
 
 def test_seeds_outside_128_bits_are_rejected(monkeypatch):

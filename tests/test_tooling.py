@@ -2,7 +2,8 @@
 
 A name deleted from the package would otherwise break `bench/run.py
 --trace 1`, and a change to the sweep rows its digest check, only when
-the benchmark runs.
+the benchmark runs.  Each argument rule the package shares is raised
+from one owner only, so a copy added back fails here.
 """
 
 import ast
@@ -21,6 +22,7 @@ from witnesslab import analysis, cli
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "witnesslab"
 
 
 def test_every_traced_name_resolves():
@@ -87,3 +89,19 @@ def test_the_oracles_the_benchmark_checks_with_resolve():
         oracle = getattr(witnesslab, name)
         inspect.signature(oracle).bind(*args)
         assert isinstance(oracle(*args), int), name
+
+
+@pytest.mark.parametrize("rule", ["n must be odd and >= 3", "r must be >= 0", "row_format must be"])
+def test_each_argument_rule_is_raised_in_one_place(rule):
+    """numth._odd_n, numth._rounds and analysis._row_template are the only
+    places that raise these ValueErrors; every entry point calls them."""
+    raised = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValueError"
+        and any(rule in ast.unparse(arg) for arg in node.exc.args)
+    ]
+    assert len(raised) == 1, raised
