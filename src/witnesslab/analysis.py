@@ -38,6 +38,7 @@ import signal
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from .galois import (
     NoConductor,
 )
 from .numth import (
+    _at_least,
     _iroot,
     _odd_n,
     _odd_primes,
@@ -72,6 +74,16 @@ from .rng import CounterRng
 
 # Chunk width in odd integers: the unit of work handed to a worker.
 _CHUNK_ODDS = 2000
+
+# The argument rules this module owns, the last AdversarialConfig's, which
+# it checks when it is built; the CLI parses its options through them.
+_x_max = partial(_at_least, "x_max", 3)
+_workers = partial(_at_least, "workers", 1)
+_degree = partial(_at_least, "d", 1)
+_series_bound = partial(_at_least, "bound", 2)
+_pool_size = partial(_at_least, "k", 1)
+_CONFIG_RULES = {name: partial(_at_least, name, low) for name, low in
+                 [("M", 1), ("prime_bound", 2), ("cutoff", 0), ("q_search_limit", 2)]}
 
 
 class NoQFound(ArithmeticError):
@@ -96,8 +108,7 @@ class SmallestEll:
     ell_max: int = DEFAULT_ELL_MAX
 
     def __post_init__(self):
-        if operator.index(self.ell_max) < 3:
-            raise ValueError(f"ell_max must be >= 3, got {self.ell_max}")
+        _at_least("ell_max", 3, self.ell_max)
 
 
 class SweepRecord(NamedTuple):
@@ -252,11 +263,16 @@ class SweepAggregate:
         return out
 
 
-def examine(n: int, r: int, policy) -> SweepRecord:
-    """Build the sweep record for one odd n, factored once for every count."""
-    n, r = _odd_n(n), _rounds(r)
+def _policy(policy):
+    """policy, checked to be a FixedEll or a SmallestEll."""
     if not isinstance(policy, (FixedEll, SmallestEll)):
         raise TypeError(f"unknown conductor policy: {policy!r}")
+    return policy
+
+
+def examine(n: int, r: int, policy) -> SweepRecord:
+    """Build the sweep record for one odd n, factored once for every count."""
+    n, r, policy = _odd_n(n), _rounds(r), _policy(policy)
     fac = factorize(n)
     composite = fac.factors[0][1] > 1 or len(fac.factors) > 1
     f_count = witness.count_F(fac)
@@ -617,21 +633,13 @@ def sweep(
     without its header, CSV_HEADER).  The aggregate's sums are exact, so
     it does not depend on the chunking or the worker count.  No more
     workers start than there are chunks, and none without os.fork.
-    The arguments are checked before any chunk runs: ValueError for a
-    bad range, round count, worker count or row format, TypeError for a
-    round count that is not an integer or a policy that is neither
-    FixedEll nor SmallestEll, and BudgetExceeded past the sieve cap or
-    a fixed conductor past the table cap.  The odd primes up to
-    isqrt(x_max) are sieved once, before any worker forks, and every
-    chunk sieves with a prefix of them.
+    Each argument's owner checks it before the sieve runs (ValueError,
+    or TypeError for a non-integer or an unknown policy); then comes
+    BudgetExceeded past the sieve cap or a fixed conductor past the
+    table cap.  The odd primes up to isqrt(x_max) are sieved once,
+    before any worker forks, and every chunk sieves with a prefix of them.
     """
-    if x_max < 3:
-        raise ValueError("x_max must be >= 3")
-    if not isinstance(policy, (FixedEll, SmallestEll)):
-        raise TypeError(f"unknown conductor policy: {policy!r}")
-    r = _rounds(r)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    x_max, policy, r, workers = _x_max(x_max), _policy(policy), _rounds(r), _workers(workers)
     if row_format is not None:
         _row_template(row_format)
     primes = _odd_primes(math.isqrt(x_max))  # BudgetExceeded past the sieve cap
@@ -773,10 +781,7 @@ def _series_sums(d: int, bound: int) -> tuple[float, float]:
     Every term rounds as the float arithmetic of one prime power would,
     and fsum is exact in any order.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
+    d, bound = _degree(d), _series_bound(bound)
     p, s, log_p = _prime_power_columns(bound)
     phi = s - s // p
     # gcd(d, phi) = gcd(d mod phi, phi), taken in Python ints past int64.
@@ -813,6 +818,10 @@ class AdversarialConfig:
     cutoff: int = 5
     k: int = 3
     q_search_limit: int = 10**6
+
+    def __post_init__(self):
+        for name, rule in _CONFIG_RULES.items():
+            rule(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -861,9 +870,7 @@ def adversarial_generate(
             if p not in pool:
                 raise ValueError(f"{p} is not in the pool {pool}")
     else:
-        if cfg.k < 1:
-            raise ValueError(f"k must be >= 1, got {cfg.k}")
-        if len(pool) < cfg.k:
+        if len(pool) < _pool_size(cfg.k):
             raise ValueError(f"pool {pool} smaller than k={cfg.k}")
         gen = CounterRng.coerce(rng).stream(0)
         picked = gen.choice(len(pool), size=cfg.k, replace=False)
@@ -968,8 +975,7 @@ def _zeta(s: int) -> float:
     term, with B_10, is below 1e-20 for every s >= 2, far under half
     an ulp of the result.
     """
-    if s < 2:
-        raise ValueError("zeta needs s >= 2")
+    s = _at_least("s", 2, s)
     N = _ZETA_TERMS
     L = math.lcm(*range(1, N))
     total = Fraction(sum((L // k) ** s for k in range(1, N)), L**s)

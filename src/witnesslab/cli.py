@@ -11,12 +11,13 @@ with no error line, when stdout is a pipe whose reader has closed it.
 The default seed comes from the WITNESSLAB_SEED environment variable
 (0 when unset); --seed overrides it.  Every integer option is parsed
 by _checked_by, so a non-integer always reads "invalid int value".
-Only the library code that owns a value checks it (numth._odd_n an n,
-numth._rounds a round count, CounterRng a seed, FixedEll and
-SmallestEll a conductor option), so each rule has one message.  sweep
-replaces --out only when it completes; a --out that is not a regular
-file, such as /dev/null, is written in place, and one that is stdout's
-own file is written through sys.stdout.
+Only the library owner of a rule checks it (numth._odd_n, numth's and
+analysis's _at_least rules, CounterRng, FixedEll, SmallestEll,
+lcm_range, AdversarialConfig's field rules), so each rule has one
+message and the CLI keeps only its grammar.  sweep replaces --out only
+when it completes; a --out that is not a regular file, such as
+/dev/null, is written in place, and one that is stdout's own file is
+written through sys.stdout.
 """
 
 from __future__ import annotations
@@ -66,19 +67,10 @@ def _parse_ell_policy(text: str):
     )
 
 
-def _int_at_least(low: int):
-    def check(value: int) -> int:
-        if value < low:
-            raise ValueError(f"expected an integer >= {low}, got {value}")
-        return value
-
-    return _checked_by(check)
-
-
 def _parse_modulus(text: str) -> int:
     if text.startswith("lcm:"):
         return _checked_by(lcm_range)(text.split(":", 1)[1])
-    return _int_at_least(1)(text)
+    return _checked_by(analysis._CONFIG_RULES["M"])(text)
 
 
 def _conductor_arg(text: str) -> int | None:
@@ -265,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("sweep", help="counts for every odd n up to a bound")
-    p.add_argument("--max", type=_int_at_least(3), required=True)
+    p.add_argument("--max", type=_checked_by(analysis._x_max), required=True)
     p.add_argument("--rounds", type=_checked_by(numth._rounds), default=2)
     p.add_argument("--ell", type=_parse_ell_policy, default="fixed:3",
                    help="fixed:<ell> or smallest[:<max>]")
     p.add_argument("--out", required=True, help="row output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_checked_by(analysis._workers), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("constants", help="series constants with tail majorants")
-    p.add_argument("--d", type=_int_at_least(1), default=2, help="extension degree")
-    p.add_argument("--bound", type=_int_at_least(2), default=10**5, help="prime-power cutoff")
+    p.add_argument("--d", type=_checked_by(analysis._degree), default=2, help="extension degree")
+    p.add_argument("--bound", type=_checked_by(analysis._series_bound), default=10**5, help="prime-power cutoff")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("adversary", help="build n with a guaranteed witness floor")
@@ -287,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="modulus, or lcm:<B> for lcm(1..B); B must be below --pool-bound, "
         "since every prime up to B divides lcm(1..B) and so never enters the pool",
     )
-    p.add_argument("--pool-bound", type=_int_at_least(2), default=200)
-    p.add_argument("--cutoff", type=_int_at_least(0), default=5)
-    p.add_argument("--k", type=_int_at_least(1), default=3)
-    p.add_argument("--q-limit", type=_int_at_least(2), default=10**6)
+    p.add_argument("--pool-bound", type=_checked_by(analysis._CONFIG_RULES["prime_bound"]), default=200)
+    p.add_argument("--cutoff", type=_checked_by(analysis._CONFIG_RULES["cutoff"]), default=5)
+    p.add_argument("--k", type=_checked_by(analysis._pool_size), default=3)
+    p.add_argument("--q-limit", type=_checked_by(analysis._CONFIG_RULES["q_search_limit"]), default=10**6)
     p.add_argument("--seed", type=_checked_by(CounterRng), default=None)
     p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("oracle-check", help="closed forms against enumeration")
     p.add_argument("--suite", choices=("f", "mr", "gal"), required=True)
-    p.add_argument("--max", type=_int_at_least(3), required=True)
+    p.add_argument("--max", type=_checked_by(analysis._x_max), required=True)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

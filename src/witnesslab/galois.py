@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numth
-from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _odd_n, is_prime
+from .numth import BudgetExceeded, Factorization, _at_least, _coprime, _enumerable, _factored, _odd_n, is_prime
 
 DEFAULT_ELL_MAX = 2000
 
@@ -183,8 +183,7 @@ class RingDescriptor:
     sigma_exponent: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 3 or self.n % 2 == 0:
-            raise InvalidConductor("n must be odd and >= 3")
+        _odd_n(self.n)
         failure = conductor_failure(self.n, self.ell)
         if failure is not None:
             raise InvalidConductor(f"ell={self.ell} for n={self.n}: {failure}")
@@ -216,14 +215,18 @@ class RingDescriptor:
 
     def element(self, coeffs) -> tuple[int, ...]:
         """Canonicalize a coefficient sequence (length <= d) into S."""
-        coeffs = list(coeffs)
-        if len(coeffs) > self.d:
-            raise ValueError(f"at most {self.d} coefficients expected")
+        coeffs = self._fits(list(coeffs))
         coeffs += [0] * (self.d - len(coeffs))
         return tuple(c % self.n for c in coeffs)
 
     def one(self) -> tuple[int, ...]:
         return self.element([1])
+
+    def _fits(self, coeffs):
+        """coeffs, checked to hold at most d coefficients."""
+        if len(coeffs) > self.d:
+            raise ValueError(f"at most {self.d} coefficients expected")
+        return coeffs
 
 
 class KroneckerLayout(NamedTuple):
@@ -277,11 +280,9 @@ def ring_mul(R: RingDescriptor, a, b) -> tuple[int, ...]:
     More than d coefficients raise ValueError, as R.element does: the
     kernel's slot bounds hold for d slots.
     """
-    if len(a) > R.d or len(b) > R.d:
-        raise ValueError(f"at most {R.d} coefficients expected")
     lay = R.layout
-    A = _pack(a, lay)
-    return _unpack(_mul_packed(A, A if a is b else _pack(b, lay), lay), lay)
+    A = _pack(R._fits(a), lay)
+    return _unpack(_mul_packed(A, A if a is b else _pack(R._fits(b), lay), lay), lay)
 
 
 _WINDOW_EDGES = (8, 24, 80, 240, 672)  # bitlen(e) where ring_pow's k grows
@@ -299,8 +300,7 @@ def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:
     first window's length squarings and one product per later window.
     The operands stay packed in between (_mul_packed).
     """
-    if e < 0:
-        raise ValueError("negative exponent")
+    e = _at_least("e", 0, e)
     a = R.element(a)
     if not e:
         return R.one()
@@ -420,8 +420,7 @@ def local_data(n: int, ell: int, p: int) -> PrimeLocalData:
     table = _conductor_table(ell)
     if table is None:
         raise InvalidConductor(f"ell={ell}: conductor-not-prime")
-    if p % ell == 0:
-        raise NotCoprime(f"gcd({p}, {ell}) > 1")
+    _coprime(p, ell)
     _, _, m, f, inv = table[:, p % ell].tolist()
     t = int(table[_IND, n % ell]) * inv % f
     if f > 1 and math.gcd(t, f) != 1:
@@ -465,9 +464,7 @@ def count_D(n: int | Factorization, ell: int) -> int:
 def count_H(n: int | Factorization, d: int) -> int:
     """Product over p | n of gcd(p**d - 1, n**d - 1); needs no conductor."""
     fac = _factored(n)
-    n = fac.n
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
+    n, d = _at_least("n", 2, fac.n), _at_least("d", 1, d)
     n_d = n**d - 1
     result = 1
     for p, _ in fac.factors:
@@ -546,9 +543,8 @@ def brute_Gal(n: int, ell: int) -> int:
     """
     R = RingDescriptor(n, ell)
     d = R.d
+    _enumerable(n, d)
     total = n**d
-    if total > numth._BRUTE_LIMIT:
-        raise BudgetExceeded(f"{n}**{d} elements exceed {numth._BRUTE_LIMIT}")
     count = 0
     for low in range(0, total, _BRUTE_BLOCK):
         index = np.arange(low, min(low + _BRUTE_BLOCK, total), dtype=np.int64)

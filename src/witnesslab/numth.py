@@ -12,8 +12,9 @@ split off a prime p, so an n whose second-largest prime factor has up
 to about 40 bits fits (psi_13, two 41-bit primes, takes 1.8 million
 updates); larger ones raise BudgetExceeded instead of running for
 hours.  Trial division proves prime any factor below p**2, p the last
-trial prime reached; is_prime certifies the larger ones.  _odd_n and
-_rounds check n odd >= 3 and r >= 0 for every entry point taking them.
+trial prime reached; is_prime certifies the larger ones.  The package
+and the CLI call one owner per rule: _at_least every lower bound, _odd_n
+"n odd and >= 3", _coprime every NotCoprime, _enumerable the oracles' cap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -57,12 +58,27 @@ def _odd_n(n: int) -> int:
     return n
 
 
-def _rounds(r: int) -> int:
-    """A round count r as an int, checked >= 0."""
-    r = operator.index(r)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return r
+def _at_least(name: str, low: int, value: int) -> int:
+    """value through operator.index, checked >= low: every rule "name must be >= low"."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+_rounds = partial(_at_least, "r", 0)
+
+
+def _coprime(a: int, m: int) -> None:
+    """Raise NotCoprime unless gcd(a, m) = 1."""
+    if math.gcd(a, m) != 1:
+        raise NotCoprime(f"gcd({a}, {m}) > 1")
+
+
+def _enumerable(n: int, d: int = 1) -> None:
+    """Raise BudgetExceeded when an oracle would visit n**d > _BRUTE_LIMIT elements."""
+    if d > _BRUTE_LIMIT.bit_length() or n**d > _BRUTE_LIMIT:
+        raise BudgetExceeded(f"{n}**{d} elements exceed the enumeration cap of {_BRUTE_LIMIT}")
 
 
 def _odd_primes(limit: int) -> np.ndarray:
@@ -118,8 +134,7 @@ def two_adic_split(k: int) -> tuple[int, int]:
 
     Callers wanting the largest odd divisor of k-1 apply this to k-1.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _at_least("k", 1, k)
     e = (k & -k).bit_length() - 1
     return e, k >> e
 
@@ -281,9 +296,7 @@ def factorize(n: int) -> Factorization:
     Raises BudgetExceeded when splitting the cofactors left by trial
     division needs more than _RHO_BUDGET rho updates in all.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _at_least("n", 1, n)
     remaining = n
     counts: dict[int, int] = {}
     for p in _trial_primes():
@@ -344,10 +357,8 @@ def mult_order(a: int, m: int) -> int:
     reducing lambda(m) prime by prime, so it costs one factorization of
     lambda(m) rather than a scan.
     """
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    if math.gcd(a, m) != 1:
-        raise NotCoprime(f"gcd({a}, {m}) > 1")
+    m = _at_least("m", 1, m)
+    _coprime(a, m)
     if m == 1:
         return 1
     order = carmichael_lambda(m)
@@ -371,8 +382,7 @@ def _unity_roots_prime_power(p: int, e: int, d: int) -> int:
 
 def unity_root_count(s: int, d: int) -> int:
     """Number of units y mod s with y**d = 1, by CRT over prime powers."""
-    if s < 1 or d < 1:
-        raise ValueError("s and d must be positive")
+    s, d = _at_least("s", 1, s), _at_least("d", 1, d)
     result = 1
     for p, e in factorize(s).factors:
         result *= _unity_roots_prime_power(p, e, d)
@@ -388,8 +398,7 @@ def lcm_range(bound: int) -> int:
     folding lcm over 2..bound is quadratic.  Raises BudgetExceeded above
     the sieve cap.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    bound = _at_least("bound", 1, bound)
     level = []
     for p in primes_up_to(bound):
         power = p

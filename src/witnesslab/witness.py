@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from . import numth
-from .numth import BudgetExceeded, Factorization, NotCoprime, _factored, _odd_n, _pow_mod, two_adic_split
+from .numth import Factorization, _at_least, _coprime, _enumerable, _factored, _odd_n, _pow_mod, two_adic_split
 from .rng import CounterRng, draw_int
 
 
@@ -43,12 +42,10 @@ def mr_witness(n: int, a: int) -> bool:
 
 
 def _check_base(n: int, a: int) -> None:
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    n = _at_least("n", 3, n)
     if not 1 <= a < n:
         raise ValueError("base out of range")
-    if math.gcd(a, n) != 1:
-        raise NotCoprime(f"gcd({a}, {n}) > 1")
+    _coprime(a, n)
 
 
 def count_F(n: int | Factorization) -> int:
@@ -84,16 +81,14 @@ def count_MR(n: int | Factorization) -> int:
 
 def _unit_bases(n: int) -> np.ndarray:
     """The units in [1, n), as int64: below isqrt(2**63 - 1), _pow_mod is exact mod n."""
-    if n > numth._BRUTE_LIMIT:
-        raise BudgetExceeded(f"enumeration capped at {numth._BRUTE_LIMIT}, got {n}")
+    _enumerable(n)
     a = np.arange(1, n, dtype=np.int64)
     return a[np.gcd(a, n) == 1]
 
 
 def brute_F(n: int) -> int:
     """Oracle: count Fermat-passing units by full enumeration."""
-    if n < 3:
-        raise ValueError("n must be >= 3")
+    n = _odd_n(n)
     a = _unit_bases(n)
     return int(np.count_nonzero(_pow_mod(a, n - 1, n) == 1))
 

@@ -481,9 +481,17 @@ def _no_fork():
 
 @pytest.mark.parametrize("policy", [3, "fixed:3", None])
 def test_sweep_with_an_unknown_policy_stops_before_any_chunk(monkeypatch, policy):
+    def no_sieve(limit):
+        raise AssertionError("sweep sieved for rejected arguments")
+
     chunks = []
     monkeypatch.setattr(analysis, "_process_chunk", _stop_at_the_first_chunk(chunks))
+    monkeypatch.setattr(analysis, "_odd_primes", no_sieve)
     monkeypatch.setattr(os, "fork", _no_fork)
+    # A worker count that is not an integer stops it too, at any range.
+    for x_max in (99, 10**5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sweep(x_max, 2, FixedEll(3), workers=2.5)
     for workers in (1, 2):
         with pytest.raises(TypeError, match="unknown conductor policy"):
             sweep(99, 2, policy, workers=workers)
@@ -891,6 +899,8 @@ def test_adversarial_rejects_bad_subsets():
         adversarial_generate(cfg, subset=(7, 7, 11))  # repeat
     with pytest.raises(ValueError):
         adversarial_generate(AdversarialConfig(M=60, prime_bound=12))
+    with pytest.raises(ValueError, match="M must be >= 1, got -60"):
+        AdversarialConfig(M=-60)  # q would walk down from a negative target forever
 
 
 def test_adversarial_needs_at_least_one_prime():

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from witnesslab import analysis, cli, galois, numth, product
-from witnesslab.analysis import FixedEll, SmallestEll
+from witnesslab.analysis import AdversarialConfig, FixedEll, SmallestEll
 from witnesslab.galois import NoConductor
 from witnesslab.rng import CounterRng
 
@@ -446,14 +446,29 @@ def _owner_message(make) -> str:
         (["count", "35", "--ell", "smallest:2"], None, 2, lambda: SmallestEll(2)),
         (["test", "35", "--rounds", "-1"], None, 2, lambda: numth._rounds(-1)),
         (["count", "35", "--rounds", "-1"], None, 2, lambda: numth._rounds(-1)),
+        (["sweep", "--out", os.devnull, "--max", "2"], None, 2, lambda: analysis.sweep(2)),
+        (["sweep", "--max", "11", "--out", os.devnull, "--workers", "0"], None, 2,
+         lambda: analysis.sweep(11, workers=0)),
+        (["oracle-check", "--suite", "f", "--max", "2"], None, 2, lambda: analysis.sweep(2)),
+        (["constants", "--d", "0"], None, 2, lambda: analysis.eval_c3(0)),
+        (["constants", "--bound", "1"], None, 2, lambda: analysis.eval_c1(1)),
+        (["adversary", "--M", "0"], None, 2, lambda: AdversarialConfig(M=0)),
+        (["adversary", "--k", "0"], None, 2, lambda: analysis.adversarial_generate(AdversarialConfig(k=0))),
+        (["adversary", "--pool-bound", "1"], None, 2, lambda: AdversarialConfig(prime_bound=1)),
+        (["adversary", "--cutoff", "-1"], None, 2, lambda: AdversarialConfig(cutoff=-1)),
+        (["adversary", "--q-limit", "1"], None, 2, lambda: AdversarialConfig(q_search_limit=1)),
     ],
     ids=["seed-flag", "seed-env-2**128", "seed-env-negative", "count-fixed4", "test-ell4", "smallest2",
-         "test-rounds-1", "count-rounds-1"],
+         "test-rounds-1", "count-rounds-1", "sweep-max2", "sweep-workers0", "oracle-max2", "constants-d0",
+         "constants-bound1", "adversary-M0", "adversary-k0", "adversary-pool-bound1", "adversary-cutoff-1",
+         "adversary-q-limit1"],
 )
 def test_each_value_is_reported_by_its_owner(monkeypatch, capsys, argv, env_seed, code, make):
     """A seed is checked by CounterRng, a conductor option by FixedEll or
-    SmallestEll and a round count by numth._rounds, wherever it comes from:
-    one message per rule, exit 2 for a flag and 1 for the environment."""
+    SmallestEll, a round count by numth._rounds, a range, worker count,
+    degree, bound or k by the function that takes it, and the other
+    adversary options by AdversarialConfig, wherever they come from: one
+    message per rule, exit 2 for a flag and 1 for the environment."""
     monkeypatch.delenv("WITNESSLAB_SEED", raising=False)
     if env_seed is not None:
         monkeypatch.setenv("WITNESSLAB_SEED", env_seed)

@@ -87,8 +87,10 @@ def test_descriptor_validation():
         RingDescriptor(7, 3)
     with pytest.raises(InvalidConductor):
         RingDescriptor(35, 9)
-    with pytest.raises(InvalidConductor):
+    with pytest.raises(ValueError, match="n must be odd and >= 3"):
         RingDescriptor(8, 3)
+    with pytest.raises(TypeError):
+        RingDescriptor(35.0, 3)
 
 
 def test_descriptor_basics():
@@ -615,3 +617,5 @@ def test_brute_Gal_budget():
 def test_brute_Gal_rejects_invalid_ring():
     with pytest.raises(InvalidConductor):
         brute_Gal(7, 3)
+    with pytest.raises(TypeError):
+        brute_Gal(35.0, 3)

@@ -91,17 +91,38 @@ def test_the_oracles_the_benchmark_checks_with_resolve():
         assert isinstance(oracle(*args), int), name
 
 
-@pytest.mark.parametrize("rule", ["n must be odd and >= 3", "r must be >= 0", "row_format must be"])
-def test_each_argument_rule_is_raised_in_one_place(rule):
-    """numth._odd_n, numth._rounds and analysis._row_template are the only
-    places that raise these ValueErrors; every entry point calls them."""
-    raised = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Raise)
-        and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", None) == "ValueError"
-        and any(rule in ast.unparse(arg) for arg in node.exc.args)
-    ]
-    assert len(raised) == 1, raised
+def _package_exceptions() -> set[str]:
+    modules = [importlib.import_module(f"witnesslab.{path.stem}") for path in SRC.glob("[!_]*.py")]
+    return {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, Exception) and value.__module__.startswith("witnesslab")
+    }
+
+
+def _constant_text(message: ast.expr) -> str | None:
+    """A literal message's text, an f-string's with {} for each value; None for any other."""
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in message.values)
+    return None
+
+
+def test_each_argument_rule_is_raised_in_one_place():
+    """Every literal message of a ValueError, a TypeError or a package
+    exception is raised in one place: a rule's owner, which every other
+    site calls.  An f-string is compared by its constant text."""
+    raised = ("ValueError", "TypeError", *_package_exceptions())
+    places: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+                continue
+            func = node.exc.func
+            text = _constant_text(node.exc.args[0])
+            if getattr(func, "id", getattr(func, "attr", None)) in raised and text is not None:
+                places.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert {"n must be odd and >= 3", "{} must be >= {}, got {}", "gcd({}, {}) > 1"} <= set(places)
+    assert {text: at for text, at in places.items() if len(at) > 1} == {}

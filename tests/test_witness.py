@@ -165,3 +165,9 @@ def test_brute_budget():
 def test_brute_rejects_tiny():
     with pytest.raises(ValueError):
         brute_F(1)
+    with pytest.raises(TypeError):
+        brute_F(9.0)
+    with pytest.raises(ValueError, match="n must be odd and >= 3"):
+        count_F(4)
+    with pytest.raises(ValueError, match="n must be odd and >= 3"):
+        brute_F(4)
