@@ -42,20 +42,21 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     The conductor is searched when not supplied; PerfectPower and
     NoConductor from that search propagate (the former is already a
     compositeness proof, which the CLI reports as such).  Round i draws
-    from stream i of the counter-based rng; the Galois round uses
-    stream r.  Draws: uniform bases in [1, n) for the Miller-Rabin
-    rounds, a uniform nonzero element of S for the Galois round.
+    from rng's _round_stream(i), which starts at stream i of the
+    counter-based rng or where round i - 1 stopped, whichever is later;
+    the Galois round is round r.  Draws: uniform bases in [1, n) for the
+    Miller-Rabin rounds, a uniform nonzero element of S for the Galois
+    round.
 
-    So each round's outcome law is exact.  A round passes with
-    count_MR/(n - 1), ends in ("factor", g) with (n - 1 - phi(n))/(n - 1)
-    and otherwise in ("mr-round", i).  With N = n**d - 1, the Galois
-    round passes with count_Gal/N, ends in sigma-mismatch with
-    (unit_count - count_Gal)/N and otherwise in ("factor", g) or
-    not-a-unit.  A verdict is probably-prime with probability
-    count_Str / ((n - 1)**r * N), except that stream i + 1 starts four
-    raw 64-bit words into stream i, so a round that draws more words
-    shares them with the next.  The streams depend on the seed, not on
-    n, so verdicts for different n under one seed share their raw draws.
+    No two rounds share a word, so the rounds are independent and each
+    round's outcome law is exact.  A round passes with count_MR/(n - 1),
+    ends in ("factor", g) with (n - 1 - phi(n))/(n - 1) and otherwise in
+    ("mr-round", i).  With N = n**d - 1, the Galois round passes with
+    count_Gal/N, ends in sigma-mismatch with (unit_count - count_Gal)/N
+    and otherwise in ("factor", g) or not-a-unit.  A verdict is
+    probably-prime with probability count_Str / ((n - 1)**r * N).  The
+    streams depend on the seed, not on n, so verdicts for different n
+    under one seed share their raw draws.
     """
     n, r = _odd_n(n), _rounds(r)
     streams = CounterRng.coerce(rng)
@@ -64,7 +65,7 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     R = RingDescriptor(n, ell)
     evidence = witness._mr_rounds(n, r, streams)
     if evidence is None:
-        evidence = galois.galois_test(R, _draw_nonzero(R, streams._shared_stream(r)))
+        evidence = galois.galois_test(R, _draw_nonzero(R, streams._round_stream(r)))
     return StrongerVerdict(n, PROBABLY_PRIME if evidence is None else COMPOSITE, evidence)
 
 

@@ -1,18 +1,20 @@
 """Seedable counter-based randomness.
 
 Draws come from numpy's Philox generator: the (seed, stream index)
-pair fully determines a stream, so round i of a randomized test can be
-reproduced, or run concurrently, without sharing generator state.
-Draw values are therefore stable for a fixed seed across runs.  Every
-base and ring element is drawn through draw_int, which also covers
-ranges wider than numpy's int64.
+pair fully determines a stream, so draw values are stable for a fixed
+seed across runs.  Stream i is Philox at counter i, and each counter
+step makes four 64-bit words, so stream i + 1 is stream i from its
+fifth word on.  Every base and ring element is drawn through draw_int,
+which also covers ranges wider than numpy's int64.
 
 CounterRng is the one place that checks a seed, whether it comes from
 the caller, the CLI or the WITNESSLAB_SEED environment variable.  The
 rounds of a verdict do not build a generator each: each thread keeps
-one Philox and sets its whole state, the (seed, index) key and counter
-and an empty buffer, for every round, which gives the same draws as a
-fresh one.  stream() still returns an independent Generator, so a
+one Philox, and _round_stream hands round i of a verdict its words.
+Round 0 sets the whole state, key, counter 0 and an empty buffer, the
+draws of a fresh stream(0).  Round i > 0 starts at stream i's first
+word or where round i - 1 stopped, whichever is later, so no two rounds
+share a word.  stream() still returns an independent Generator, so a
 caller may hold several at once.
 """
 
@@ -49,7 +51,8 @@ def default_seed() -> int:
 
 
 class CounterRng:
-    """Family of independent streams keyed by (seed, index)."""
+    """Family of streams keyed by (seed, index); stream i + 1 overlaps
+    stream i from its fifth word on."""
 
     def __init__(self, seed: int | None = None):
         self.seed = default_seed() if seed is None else operator.index(seed)
@@ -86,6 +89,28 @@ class CounterRng:
             "uinteger": 0,
         }
         return generator
+
+    def _round_stream(self, index: int) -> np.random.Generator:
+        """This thread's Generator for round `index` of a verdict.
+
+        Round 0 is _shared_stream(0), so nothing carries over from an
+        earlier verdict or a draw cut off.  A later round starts at
+        stream index's first word or where round index - 1 stopped,
+        read from the Generator's counter and buffer position, whichever
+        is later.  The words after a stopping time of an i.i.d. word
+        sequence are again i.i.d., so the rounds are independent, and a
+        round that took at most its four words leaves the next round the
+        draws of its own stream.  Rounds must come in order on one
+        thread, with no other draw from it in between.
+        """
+        if index:
+            generator = _per_thread.generator
+            state = generator.bit_generator.state
+            c0, c1, c2, c3 = state["state"]["counter"].tolist()
+            # The next word is word 4 * (counter - 1) + buffer_pos of the key's sequence.
+            if 4 * (c0 | c1 << 64 | c2 << 128 | c3 << 192) + state["buffer_pos"] > 4 * index + 4:
+                return generator
+        return self._shared_stream(index)
 
     @classmethod
     def coerce(cls, value) -> "CounterRng":

@@ -123,7 +123,7 @@ def _covered_composites(ell, below=2000):
 
 
 def _outcome_law(n, r, ell):
-    """Exact probability of each outcome class of stronger_test(n, r, ell), r <= 1."""
+    """Exact probability of each outcome class of stronger_test(n, r, ell)."""
     fac = factorize(n)
     N = n ** (ell - 1) - 1
     S, G = unit_count(fac, ell), count_Gal(fac, ell)
@@ -131,10 +131,12 @@ def _outcome_law(n, r, ell):
     if r == 0:
         return law
     phi, M = euler_phi(n), count_MR(fac)
-    law = {outcome: Fraction(M, n - 1) * p for outcome, p in law.items()}
-    law["mr-round"] = Fraction(phi - M, n - 1)
+    passes = Fraction(M, n - 1)
+    law = {outcome: passes**r * p for outcome, p in law.items()}
+    reached = sum(passes**i for i in range(r))  # expected rounds begun, but for the last
+    law["mr-round"] = Fraction(phi - M, n - 1) * reached
     # ("factor", g) comes from a non-unit base or a non-unit ring element
-    law["non-unit"] += Fraction(n - 1 - phi, n - 1)
+    law["non-unit"] += Fraction(n - 1 - phi, n - 1) * reached
     return law
 
 
@@ -152,23 +154,37 @@ def _outcome_class(verdict):
 _CHI2_BOUND = {2: 27.63, 3: 30.66}
 
 
-@pytest.mark.parametrize("r,ell,trials", [(0, 3, 200), (1, 3, 2000), (1, 5, 500)])
-def test_stronger_test_follows_its_outcome_law(r, ell, trials):
-    """stronger_test's own draws against the exact law, pooled over every covered composite.
+@pytest.mark.parametrize(
+    "r,ell,trials,cases",
+    [(0, 3, 200, None), (1, 3, 2000, None), (1, 5, 500, None), (2, 7, 4000, [19220010747701502511])],
+    ids=["0-3-200", "1-3-2000", "1-5-500", "2-7-4000-above-2**64"],
+)
+def test_stronger_test_follows_its_outcome_law(r, ell, trials, cases):
+    """stronger_test's own draws against the exact law, pooled over every
+    covered composite, or over the given cases.
 
     Each (n, r, trial) has its own seed: under one seed the raw draws are
-    the same for every n, so their verdicts would be correlated.
+    the same for every n, so their verdicts would be correlated.  Above
+    2**64 a base takes two 64-bit words or more, so a round often takes
+    more than its stream's four; 19220010747701502511 = p(2p - 1) has
+    MR/(n - 1) = 1/4, so the verdicts that reach the ring round, whose
+    draw is then a unit, are held to (1/4)**2 * unit_count/N.
     """
-    seen, expected, pass_variance = Counter(), Counter(), 0.0
-    for n in _covered_composites(ell):
+    seen, expected, pass_variance, unit_variance = Counter(), Counter(), 0.0, 0.0
+    for n in cases or _covered_composites(ell):
         law = _outcome_law(n, r, ell)
         assert sum(law.values()) == 1
         for outcome, p in law.items():
             expected[outcome] += trials * float(p)
         pass_variance += trials * float(law["pass"] * (1 - law["pass"]))
+        unit = law["pass"] + law["sigma-mismatch"]
+        unit_variance += trials * float(unit * (1 - unit))
         for trial in range(trials):
             verdict = stronger_test(n, r, ell, CounterRng(n << 40 | r << 32 | trial))
             seen[_outcome_class(verdict)] += 1
+    units = ("pass", "sigma-mismatch")
+    z = sum(seen[outcome] - expected[outcome] for outcome in units) / unit_variance**0.5
+    assert abs(z) <= 5, (z, seen, expected)
     if expected["pass"] < 5:
         # too rare to stand alone (at ell = 5 fewer than 1 in 10^5 verdicts pass):
         # it joins the other unit outcome
@@ -249,6 +265,45 @@ def test_seeded_verdicts_frozen_wide():
     assert digest.hexdigest() == (
         "8469bd5139eb8bb28c1f548800e5e003a61672eb61a882376abe4289d9e4131c"
     )
+
+
+def _next_word(gen):
+    """Where gen's next 64-bit word sits in its key's word sequence."""
+    state = gen.bit_generator.state
+    counter = sum(int(word) << 64 * i for i, word in enumerate(state["state"]["counter"]))
+    return 4 * (counter - 1) + state["buffer_pos"]
+
+
+def test_rounds_within_their_four_words_draw_their_own_streams(monkeypatch):
+    """Where no round before the last took more than the four words of its
+    own stream, round i draws what a fresh stream(i) draws.  Where one
+    did, the rounds up to it still do, and the next round draws on from
+    where it stopped.  2**64 + 13 is prime, so both rounds and the ring
+    round draw, and a base above 2**64 takes two words per try."""
+    n, r = 2**64 + 13, 2
+    ranges = [(1, n, None)] * r + [(0, n, find_conductor(n) - 1)]
+    drawn = []
+
+    def recording(gen, low, high, size=None):
+        drawn.append(draw_int(gen, low, high, size))
+        return drawn[-1]
+
+    monkeypatch.setattr(witness, "draw_int", recording)
+    monkeypatch.setattr(product, "draw_int", recording)
+    spilled = 0
+    for seed in range(200):
+        drawn.clear()
+        assert stronger_test(n, r, None, CounterRng(seed)).outcome == PROBABLY_PRIME
+        gens = [CounterRng(seed).stream(i) for i in range(r + 1)]
+        fresh = [draw_int(gen, *bounds) for gen, bounds in zip(gens, ranges)]
+        first = next((i for i in range(r) if _next_word(gens[i]) > 4 * i + 4), None)
+        if first is None:
+            assert drawn == fresh, seed
+        else:
+            spilled += 1
+            assert drawn[: first + 1] == fresh[: first + 1], seed
+            assert drawn[first + 1] == draw_int(gens[first], *ranges[first + 1]), seed
+    assert 60 < spilled < 120  # 1 - (3/4)**2 of the seeds spill in round 0 or 1
 
 
 def test_held_stream_is_untouched_by_verdicts():
