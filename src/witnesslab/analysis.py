@@ -75,8 +75,8 @@ from .rng import CounterRng
 # Chunk width in odd integers: the unit of work handed to a worker.
 _CHUNK_ODDS = 2000
 
-# The argument rules this module owns, the last AdversarialConfig's, which
-# it checks when it is built; the CLI parses its options through them.
+# The argument rules this module owns; the CLI parses its options through
+# them.  _CONFIG_RULES are AdversarialConfig's, checked when it is built.
 _x_max = partial(_at_least, "x_max", 3)
 _workers = partial(_at_least, "workers", 1)
 _degree = partial(_at_least, "d", 1)
