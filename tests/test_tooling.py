@@ -110,10 +110,10 @@ def _constant_text(message: ast.expr) -> str | None:
     return None
 
 
-def test_each_argument_rule_is_raised_in_one_place():
-    """Every literal message of a ValueError, a TypeError or a package
-    exception is raised in one place: a rule's owner, which every other
-    site calls.  An f-string is compared by its constant text."""
+def _raise_places() -> dict[str, list[str]]:
+    """Each literal message of a ValueError, a TypeError or a package
+    exception, with the places that raise it.  An f-string is keyed by its
+    constant text."""
     raised = ("ValueError", "TypeError", *_package_exceptions())
     places: dict[str, list[str]] = {}
     for path in sorted(SRC.glob("*.py")):
@@ -124,5 +124,23 @@ def test_each_argument_rule_is_raised_in_one_place():
             text = _constant_text(node.exc.args[0])
             if getattr(func, "id", getattr(func, "attr", None)) in raised and text is not None:
                 places.setdefault(text, []).append(f"{path.name}:{node.lineno}")
-    assert {"n must be odd and >= 3", "{} must be >= {}, got {}", "gcd({}, {}) > 1"} <= set(places)
+    return places
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("n must be odd and >= 3", id="n must be odd and >= 3"),
+        pytest.param("{} must be >= {}, got {}", id="r must be >= 0"),
+        pytest.param("row_format must be 'csv' or 'json', got {}", id="row_format must be"),
+        pytest.param("gcd({}, {}) > 1", id="gcd(a, n) > 1"),
+    ],
+)
+def test_each_argument_rule_is_raised_in_one_place(text):
+    """Every literal message is raised in one place: a rule's owner, which
+    every other site calls.  The case names the rule whose owner must exist:
+    numth._odd_n, numth._at_least (r's rule among its others),
+    analysis._row_template and numth._coprime."""
+    places = _raise_places()
+    assert text in places
     assert {text: at for text, at in places.items() if len(at) > 1} == {}
