@@ -75,15 +75,16 @@ from .rng import CounterRng
 # Chunk width in odd integers: the unit of work handed to a worker.
 _CHUNK_ODDS = 2000
 
-# The argument rules this module owns; the CLI parses its options through
-# them.  _CONFIG_RULES are AdversarialConfig's, checked when it is built.
+# Argument rules the CLI parses through; AdversarialConfig checks the last four.
 _x_max = partial(_at_least, "x_max", 3)
 _workers = partial(_at_least, "workers", 1)
 _degree = partial(_at_least, "d", 1)
 _series_bound = partial(_at_least, "bound", 2)
 _pool_size = partial(_at_least, "k", 1)
-_CONFIG_RULES = {name: partial(_at_least, name, low) for name, low in
-                 [("M", 1), ("prime_bound", 2), ("cutoff", 0), ("q_search_limit", 2)]}
+_modulus = partial(_at_least, "M", 1)
+_prime_bound = partial(_at_least, "prime_bound", 2)
+_cutoff = partial(_at_least, "cutoff", 0)
+_q_limit = partial(_at_least, "q_search_limit", 2)
 
 
 class NoQFound(ArithmeticError):
@@ -820,8 +821,10 @@ class AdversarialConfig:
     q_search_limit: int = 10**6
 
     def __post_init__(self):
-        for name, rule in _CONFIG_RULES.items():
-            rule(getattr(self, name))
+        _modulus(self.M)
+        _prime_bound(self.prime_bound)
+        _cutoff(self.cutoff)
+        _q_limit(self.q_search_limit)
 
 
 @dataclass(frozen=True)

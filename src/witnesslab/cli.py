@@ -11,13 +11,12 @@ with no error line, when stdout is a pipe whose reader has closed it.
 The default seed comes from the WITNESSLAB_SEED environment variable
 (0 when unset); --seed overrides it.  Every integer option is parsed
 by _checked_by, so a non-integer always reads "invalid int value".
-Only the library owner of a rule checks it (numth._odd_n, numth's and
-analysis's _at_least rules, CounterRng, FixedEll, SmallestEll,
-lcm_range, AdversarialConfig's field rules), so each rule has one
-message and the CLI keeps only its grammar.  sweep replaces --out only
-when it completes; a --out that is not a regular file, such as
-/dev/null, is written in place, and one that is stdout's own file is
-written through sys.stdout.
+Only the library owner of a rule checks it (numth._odd_n and
+_at_least's rules, CounterRng, FixedEll, SmallestEll, lcm_range and
+AdversarialConfig), so each rule has one message and the CLI keeps only
+its grammar.  sweep replaces --out only when it completes; a --out that
+is not a regular file, such as /dev/null, is written in place, and one
+that is stdout's own file is written through sys.stdout.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def _parse_ell_policy(text: str):
 def _parse_modulus(text: str) -> int:
     if text.startswith("lcm:"):
         return _checked_by(lcm_range)(text.split(":", 1)[1])
-    return _checked_by(analysis._CONFIG_RULES["M"])(text)
+    return _checked_by(analysis._modulus)(text)
 
 
 def _conductor_arg(text: str) -> int | None:
@@ -279,10 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="modulus, or lcm:<B> for lcm(1..B); B must be below --pool-bound, "
         "since every prime up to B divides lcm(1..B) and so never enters the pool",
     )
-    p.add_argument("--pool-bound", type=_checked_by(analysis._CONFIG_RULES["prime_bound"]), default=200)
-    p.add_argument("--cutoff", type=_checked_by(analysis._CONFIG_RULES["cutoff"]), default=5)
+    p.add_argument("--pool-bound", type=_checked_by(analysis._prime_bound), default=200)
+    p.add_argument("--cutoff", type=_checked_by(analysis._cutoff), default=5)
     p.add_argument("--k", type=_checked_by(analysis._pool_size), default=3)
-    p.add_argument("--q-limit", type=_checked_by(analysis._CONFIG_RULES["q_search_limit"]), default=10**6)
+    p.add_argument("--q-limit", type=_checked_by(analysis._q_limit), default=10**6)
     p.add_argument("--seed", type=_checked_by(CounterRng), default=None)
     p.set_defaults(func=cmd_adversary)
 

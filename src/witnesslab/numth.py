@@ -12,9 +12,8 @@ split off a prime p, so an n whose second-largest prime factor has up
 to about 40 bits fits (psi_13, two 41-bit primes, takes 1.8 million
 updates); larger ones raise BudgetExceeded instead of running for
 hours.  Trial division proves prime any factor below p**2, p the last
-trial prime reached; is_prime certifies the larger ones.  The package
-and the CLI call one owner per rule: _at_least every lower bound, _odd_n
-"n odd and >= 3", _coprime every NotCoprime, _enumerable the oracles' cap.
+trial prime reached; is_prime certifies the larger ones.  Rule owners:
+_at_least (lower bounds), _odd_n, _coprime and _enumerable (oracle cap).
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ import hashlib
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 import witnesslab
-from witnesslab import analysis, cli
+from witnesslab import analysis, cli, numth
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
@@ -127,20 +128,34 @@ def _raise_places() -> dict[str, list[str]]:
     return places
 
 
+def _raises_naming(words: str) -> list[str]:
+    """The places that raise an exception whose arguments' source matches `words`."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and any(re.search(words, ast.unparse(arg)) for arg in node.exc.args)
+    ]
+
+
 @pytest.mark.parametrize(
-    "text",
+    ("words", "count"),
     [
-        pytest.param("n must be odd and >= 3", id="n must be odd and >= 3"),
-        pytest.param("{} must be >= {}, got {}", id="r must be >= 0"),
-        pytest.param("row_format must be 'csv' or 'json', got {}", id="row_format must be"),
-        pytest.param("gcd({}, {}) > 1", id="gcd(a, n) > 1"),
+        pytest.param("n must be odd", 1, id="n must be odd and >= 3"),
+        pytest.param(r"\br must be", 0, id="r must be >= 0"),
+        pytest.param("row_format must be", 1, id="row_format must be"),
+        pytest.param(r"gcd\(", 1, id="gcd(a, n) > 1"),
     ],
 )
-def test_each_argument_rule_is_raised_in_one_place(text):
+def test_each_argument_rule_is_raised_in_one_place(words, count):
     """Every literal message is raised in one place: a rule's owner, which
-    every other site calls.  The case names the rule whose owner must exist:
-    numth._odd_n, numth._at_least (r's rule among its others),
-    analysis._row_template and numth._coprime."""
+    every other site calls.  numth._odd_n, analysis._row_template and
+    numth._coprime are the one raise naming their rule; r's rule has no
+    raise of its own, as numth._rounds binds it to numth._at_least."""
     places = _raise_places()
-    assert text in places
     assert {text: at for text, at in places.items() if len(at) > 1} == {}
+    assert len(_raises_naming(words)) == count, _raises_naming(words)
+    if not count:
+        assert (numth._rounds.func, numth._rounds.args) == (numth._at_least, ("r", 0))
