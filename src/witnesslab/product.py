@@ -42,9 +42,9 @@ def stronger_test(n: int, r: int = 2, ell: int | None = None, rng=None) -> Stron
     The conductor is searched when not supplied; PerfectPower and
     NoConductor from that search propagate (the former is already a
     compositeness proof, which the CLI reports as such).  Round i draws
-    from rng's _round_stream(i), which starts at stream i of the
-    counter-based rng or where round i - 1 stopped, whichever is later;
-    the Galois round is round r.  Draws: uniform bases in [1, n) for the
+    from rng's _round_stream(i): stream i of the counter-based rng, or
+    the words after round i - 1's where it took more than its four; the
+    Galois round is round r.  Draws: uniform bases in [1, n) for the
     Miller-Rabin rounds, a uniform nonzero element of S for the Galois
     round.
 

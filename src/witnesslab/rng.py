@@ -12,10 +12,11 @@ the caller, the CLI or the WITNESSLAB_SEED environment variable.  The
 rounds of a verdict do not build a generator each: each thread keeps
 one Philox, and _round_stream hands round i of a verdict its words.
 Round 0 sets the whole state, key, counter 0 and an empty buffer, the
-draws of a fresh stream(0).  Round i > 0 starts at stream i's first
-word or where round i - 1 stopped, whichever is later, so no two rounds
-share a word.  stream() still returns an independent Generator, so a
-caller may hold several at once.
+draws of a fresh stream(0).  Round i > 0 starts at the block after the
+one holding round i - 1's last word, which is stream i's first word
+when round i - 1 took at most four, so no two rounds share a word.
+stream() still returns an independent Generator, so a caller may hold
+several at once.
 """
 
 from __future__ import annotations
@@ -94,23 +95,21 @@ class CounterRng:
         """This thread's Generator for round `index` of a verdict.
 
         Round 0 is _shared_stream(0), so nothing carries over from an
-        earlier verdict or a draw cut off.  A later round starts at
-        stream index's first word or where round index - 1 stopped,
-        read from the Generator's counter and buffer position, whichever
-        is later.  The words after a stopping time of an i.i.d. word
-        sequence are again i.i.d., so the rounds are independent, and a
-        round that took at most its four words leaves the next round the
-        draws of its own stream.  Rounds must come in order on one
-        thread, with no other draw from it in between.
+        earlier verdict or a draw cut off.  A later round starts at the
+        four-word block after the one that holds round index - 1's last
+        word: advance(0) keeps the counter and drops the rest of the
+        buffer.  So a round that took one to four words leaves the next
+        round the draws of its own stream, and one that took more leaves
+        it the words after its own.  The words after a stopping time of
+        an i.i.d. word sequence are again i.i.d., so the rounds are
+        independent.  Rounds must come in order on one thread, each
+        drawing at least one word, with no other draw in between.
         """
         if index:
             generator = _per_thread.generator
-            state = generator.bit_generator.state
-            c0, c1, c2, c3 = state["state"]["counter"].tolist()
-            # The next word is word 4 * (counter - 1) + buffer_pos of the key's sequence.
-            if 4 * (c0 | c1 << 64 | c2 << 128 | c3 << 192) + state["buffer_pos"] > 4 * index + 4:
-                return generator
-        return self._shared_stream(index)
+            generator.bit_generator.advance(0)
+            return generator
+        return self._shared_stream(0)
 
     @classmethod
     def coerce(cls, value) -> "CounterRng":

@@ -277,9 +277,9 @@ def _next_word(gen):
 def test_rounds_within_their_four_words_draw_their_own_streams(monkeypatch):
     """Where no round before the last took more than the four words of its
     own stream, round i draws what a fresh stream(i) draws.  Where one
-    did, the rounds up to it still do, and the next round draws on from
-    where it stopped.  2**64 + 13 is prime, so both rounds and the ring
-    round draw, and a base above 2**64 takes two words per try."""
+    did, the rounds up to it still do, and the next round draws from the
+    block after its last word.  2**64 + 13 is prime, so both rounds and
+    the ring round draw, and a base above 2**64 takes two words per try."""
     n, r = 2**64 + 13, 2
     ranges = [(1, n, None)] * r + [(0, n, find_conductor(n) - 1)]
     drawn = []
@@ -302,6 +302,8 @@ def test_rounds_within_their_four_words_draw_their_own_streams(monkeypatch):
         else:
             spilled += 1
             assert drawn[: first + 1] == fresh[: first + 1], seed
+            gens[first].bit_generator.advance(0)
+            assert _next_word(gens[first]) > 4 * first + 4
             assert drawn[first + 1] == draw_int(gens[first], *ranges[first + 1]), seed
     assert 60 < spilled < 120  # 1 - (3/4)**2 of the seeds spill in round 0 or 1
 
