@@ -21,32 +21,48 @@ Elements are coefficient tuples of length d over the power basis
 1, X, ..., X**(ell-2).  Products use Kronecker substitution: an
 element is packed into one integer with coefficient i in the W-bit
 slot i, and one integer product gives the polynomial product.
-ring_pow keeps its operands packed from the first product to the
-last, every coefficient only lazily reduced, in [0, 5n).  With
-b = bitlen(n) and L = bitlen(ell), a coefficient of a product mod
-X**ell - 1 sums at most d < 2**L products below (5n)**2 < 2**(2b+5),
-so every slot of a product stays below 2**X, X = 2b + L + 8.
-X**ell = 1 is applied to the packed product P as one fold modulo
-2**(W*ell) - 1, (P & (2**(W*ell) - 1)) + (P >> (W*ell)), which adds
-slot k + ell onto slot k.  The top slot d is then taken off, and the
-d low slots are reduced together by one Barrett step (Barrett,
-CRYPTO '86): with mu = floor(2**(X+1) / n) and T keeping the low
-X-b+1 bits of each slot, the slotwise quotient estimate
+ring_pow and ring_norm keep their operands packed from the first
+product to the last, every coefficient only lazily reduced, in
+[0, 5n).  A packed operand may fill all ell slots, 0 to d: it is an
+element of Z/n[X]/(X**ell - 1), which S is the quotient of by
+1 + X + ... + X**(ell-1) (Silverman's redundant representation,
+CHES '99); a freshly packed x has slot d empty.  With b = bitlen(n) and
+L = bitlen(ell), a coefficient of a product mod X**ell - 1 sums at
+most ell < 2**L products below (5n)**2 < 2**(2b+5), so every slot of
+a product stays below 2**X, X = 2b + L + 8.  X**ell = 1 is applied to
+the packed product P as one fold modulo 2**(W*ell) - 1,
+(P & (2**(W*ell) - 1)) + (P >> (W*ell)), which adds slot k + ell onto
+slot k.  The slots are then reduced together by one Barrett step
+(Barrett, CRYPTO '86): with mu = floor(2**(X+1) / n) and T keeping the
+low X-b+1 bits of each slot, the slotwise quotient estimate
 Q = ((((P >> (b-1)) & T) * mu) >> (X-b+2)) & T satisfies
 q - 2 <= Q <= q for the true quotient q of each slot.  (Dropping the
 low b-1 bits costs the estimate under 2**(b-1)/n <= 1, flooring mu
 under P/2**(X+1) < 1/2.)  So P - Q*n leaves every slot in [0, 3n).
-The relation 1 + X + ... + X**(ell-1) = 0 subtracts the top slot from
-the others: adding (n - top mod n) * ones, with the repunit ones the
-sum of 2**(W*i) over i < d, adds a value in [1, n] to each slot,
+
+RingDescriptor.layout picks one of two kernels per ring, from b alone,
+and binds the ring's constants into it.  The cutoff CYCLIC_BITS = 104
+is where the measured ring_pow(x, n) times of the two kernels cross
+for ell = 5 (the table is at CYCLIC_BITS).  Up to it, the cyclic
+kernel stays in Z/n[X]/(X**ell - 1): the multiply, the fold, the
+Barrett step over all ell slots and P - Q*n, 11 big-integer
+operations, every slot out in [0, 3n).  Above it, the folded kernel
+keeps d slots, which makes the multiply smaller: before the Barrett
+step it takes the top slot d off and reduces the d low slots, and
+then 1 + X + ... + X**(ell-1) = 0 subtracts the top slot
+from the others: adding (n - top mod n) * ones, with the repunit ones
+the sum of 2**(W*i) over i < d, adds a value in [1, n] to each slot,
 which ends below 4n, inside [0, 5n).  No mask or shift crosses a
 slot.  A slot of the masked P >> (b-1) times mu is below
 2**(X-b+1) * 2**(X-b+2) = 2**(2X-2b+3), within W = 2X - 2b + 5 bits,
 and the low bits that either right shift moves out of a slot land
 above the X-b+1 bits that T keeps of the slot below.  Q*n is at most
-P in every slot, so the subtraction borrows across no slot.  Only the
-result is unpacked, with one reduction mod n per coefficient; ring_mul
-is the same kernel between a pack and an unpack.
+P in every slot, so the subtraction borrows across no slot.  sigma**k
+maps X**i to X**(i * n**k mod ell), which permutes the ell slots, so
+ring_norm's conjugates are packed too.  Only a result is unpacked:
+slot d, if any, comes off the d slots below it, with one reduction
+mod n per coefficient.  ring_mul is the same kernel between a pack
+and an unpack.
 """
 
 from __future__ import annotations
@@ -57,7 +73,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,6 +81,23 @@ from . import numth
 from .numth import BudgetExceeded, Factorization, _at_least, _coprime, _enumerable, _factored, _odd_n, is_prime
 
 DEFAULT_ELL_MAX = 2000
+# The largest bitlen(n) whose rings use the cyclic kernel.  ring_pow(x, n)
+# time, cyclic kernel over folded, each cell the median of 5 primes n of
+# that many bits (each the median of 7 interleaved timings), on one core
+# of an Intel Xeon under CPython 3.11:
+#
+#     bits   ell 3   ell 5   ell 7   ell 11
+#       64    0.84    0.88    0.92    0.97
+#       96    0.89    0.93    1.00    0.99
+#      104    0.93    0.96    1.00    1.00
+#      112    0.89    1.04    1.00    1.08
+#      128    0.95    1.03    1.00    1.03
+#      192    1.00    1.10    1.06    0.99
+#      256    1.14    1.10    1.13    1.07
+#
+# Past 104 bits the larger multiply of ell slots against d costs more
+# than the folded kernel's six further operations for all but ell = 3.
+CYCLIC_BITS = 104
 
 
 class PerfectPower(ArithmeticError):
@@ -192,26 +225,23 @@ class RingDescriptor:
 
     @cached_property
     def layout(self) -> KroneckerLayout:
-        """The packed-product constants of this ring (see the module docstring)."""
-        n, d = self.n, self.d
+        """The slot width and the product kernel of this ring (see the module docstring)."""
+        n, d, ell = self.n, self.d, self.ell
         b = n.bit_length()
-        x = 2 * b + self.ell.bit_length() + 8
+        x = 2 * b + ell.bit_length() + 8
         w = 2 * x - 2 * b + 5
-        ones = ((1 << (w * d)) - 1) // ((1 << w) - 1)
-        return KroneckerLayout(
-            n=n,
-            d=d,
-            w=w,
-            span=w * self.ell,
-            fold_mask=(1 << (w * self.ell)) - 1,
-            top=w * d,
-            low_mask=(1 << (w * d)) - 1,
-            shift=b - 1,
-            quotient_mask=ones * ((1 << (x - b + 1)) - 1),
-            mu=(1 << (x + 1)) // n,
-            quotient_shift=x - b + 2,
-            ones=ones,
-        )
+        cyclic = b <= CYCLIC_BITS
+        # The repunit sum of 2**(W*i) over the slots the kernel reduces, and
+        # the Barrett step's constants: the shift b - 1, the mask T of the
+        # low X - b + 1 bits of each of those slots, mu = floor(2**(X+1) / n)
+        # and the quotient shift X + 1 - (b - 1).
+        ones = ((1 << (w * (ell if cyclic else d))) - 1) // ((1 << w) - 1)
+        barrett = (b - 1, ones * ((1 << (x - b + 1)) - 1), (1 << (x + 1)) // n, x - b + 2)
+        if cyclic:
+            mul = _cyclic_kernel(n, w * ell, *barrett)
+        else:
+            mul = _folded_kernel(n, w * ell, *barrett, w * d, ones)
+        return KroneckerLayout(n, d, w, w * d, mul)
 
     def element(self, coeffs) -> tuple[int, ...]:
         """Canonicalize a coefficient sequence (length <= d) into S."""
@@ -230,20 +260,13 @@ class RingDescriptor:
 
 
 class KroneckerLayout(NamedTuple):
-    """Slot width W and Barrett constants of the packed product in one ring."""
+    """Slot width W and product kernel of the packed elements of one ring."""
 
     n: int
     d: int
     w: int  # W = 2X - 2b + 5 bits per slot
-    span: int  # W * ell: the fold point of X**ell = 1
-    fold_mask: int  # 2**span - 1
     top: int  # W * d: where slot d starts
-    low_mask: int  # 2**top - 1: the d low slots
-    shift: int  # b - 1
-    quotient_mask: int  # T: the low X - b + 1 bits of each of the d slots
-    mu: int  # floor(2**(X+1) / n)
-    quotient_shift: int  # X + 1 - (b - 1)
-    ones: int  # the repunit sum of 2**(W*i) over i < d
+    mul: Callable[[int, int], int]  # packed A * B: _cyclic_kernel's or _folded_kernel's
 
 
 def _pack(a, lay: KroneckerLayout) -> int:
@@ -256,33 +279,59 @@ def _pack(a, lay: KroneckerLayout) -> int:
 
 
 def _unpack(packed: int, lay: KroneckerLayout) -> tuple[int, ...]:
-    """The canonical coefficient tuple of a packed element."""
+    """The canonical coefficient tuple of a packed element: slot d, if
+    any, comes off the d slots below it (1 + X + ... + X**d = 0)."""
     n, w = lay.n, lay.w
     mask = (1 << w) - 1
-    return tuple((packed >> (w * i) & mask) % n for i in range(lay.d))
+    top = packed >> lay.top
+    return tuple(((packed >> (w * i) & mask) - top) % n for i in range(lay.d))
 
 
-def _mul_packed(A: int, B: int, lay: KroneckerLayout) -> int:
-    """The product kernel: packed A * B in S, every slot in [0, 5n) in and out."""
-    n, _, _, span, fold_mask, top_at, low_mask, shift, mask, mu, quotient_shift, ones = lay
-    P = A * B
-    P = (P & fold_mask) + (P >> span)
-    top = P >> top_at
-    P &= low_mask
-    Q = (((P >> shift) & mask) * mu >> quotient_shift) & mask
-    return P - Q * n + (n - top % n) * ones
+def _cyclic_kernel(
+    n: int, span: int, shift: int, mask: int, mu: int, quotient_shift: int
+) -> Callable[[int, int], int]:
+    """The product up to CYCLIC_BITS, with the ring's constants bound: packed
+    A * B in Z/n[X]/(X**ell - 1), all ell slots in [0, 5n) in and in [0, 3n) out."""
+    fold_mask = (1 << span) - 1  # span = W * ell: the fold point of X**ell = 1
+
+    def cyclic(A: int, B: int) -> int:
+        P = A * B
+        P = (P & fold_mask) + (P >> span)
+        Q = (((P >> shift) & mask) * mu >> quotient_shift) & mask
+        return P - Q * n
+
+    return cyclic
+
+
+def _folded_kernel(
+    n: int, span: int, shift: int, mask: int, mu: int, quotient_shift: int, top_at: int, ones: int
+) -> Callable[[int, int], int]:
+    """The product above CYCLIC_BITS, with the ring's constants bound: packed
+    A * B in S, all ell slots in [0, 5n) in, the d low slots in [0, 5n) and
+    slot d empty out."""
+    fold_mask = (1 << span) - 1
+    low_mask = (1 << top_at) - 1  # the d low slots
+
+    def folded(A: int, B: int) -> int:
+        P = A * B
+        P = (P & fold_mask) + (P >> span)
+        top = P >> top_at
+        P &= low_mask
+        Q = (((P >> shift) & mask) * mu >> quotient_shift) & mask
+        return P - Q * n + (n - top % n) * ones
+
+    return folded
 
 
 def ring_mul(R: RingDescriptor, a, b) -> tuple[int, ...]:
     """Product in S by Kronecker substitution (see the module docstring).
 
     Coefficients outside [0, n) are accepted; the result is canonical.
-    More than d coefficients raise ValueError, as R.element does: the
-    kernel's slot bounds hold for d slots.
+    More than d coefficients raise ValueError, as R.element does.
     """
     lay = R.layout
     A = _pack(R._fits(a), lay)
-    return _unpack(_mul_packed(A, A if a is b else _pack(R._fits(b), lay), lay), lay)
+    return _unpack(lay.mul(A, A if a is b else _pack(R._fits(b), lay)), lay)
 
 
 _WINDOW_EDGES = (8, 24, 80, 240, 672)  # bitlen(e) where ring_pow's k grows
@@ -298,19 +347,24 @@ def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:
     and none when k = 1; then, with e cut from the left into windows of
     at most k bits that start and end with a 1, bitlen(e) minus the
     first window's length squarings and one product per later window.
-    The operands stay packed in between (_mul_packed).
+    The operands stay packed in between, multiplied by R.layout.mul.
     """
     e = _at_least("e", 0, e)
     a = R.element(a)
     if not e:
         return R.one()
     lay = R.layout
+    return _unpack(_pow_packed(_pack(a, lay), e, lay.mul), lay)
+
+
+def _pow_packed(A: int, e: int, mul: Callable[[int, int], int]) -> int:
+    """A**e for a packed A and e >= 1 by the kernel mul, packed (see ring_pow)."""
     k = 1 + bisect_right(_WINDOW_EDGES, e.bit_length())
-    odd = [_pack(a, lay)]  # odd[i] = a**(2*i + 1)
+    odd = [A]  # odd[i] = A**(2*i + 1)
     if k > 1:
-        square = _mul_packed(odd[0], odd[0], lay)
+        square = mul(A, A)
         for _ in range(2 ** (k - 1) - 1):
-            odd.append(_mul_packed(odd[-1], square, lay))
+            odd.append(mul(odd[-1], square))
     # Each piece is the zeros before a window, then the window: the
     # longest run of at most k bits that starts and ends with a 1.
     bits = bin(e)[2:]
@@ -318,11 +372,11 @@ def ring_pow(R: RingDescriptor, a, e: int) -> tuple[int, ...]:
     result = odd[int(first, 2) >> 1]
     for piece in pieces:
         for _ in range(len(piece)):
-            result = _mul_packed(result, result, lay)
-        result = _mul_packed(result, odd[int(piece, 2) >> 1], lay)
+            result = mul(result, result)
+        result = mul(result, odd[int(piece, 2) >> 1])
     for _ in range(len(bits) - len(bits.rstrip("0"))):
-        result = _mul_packed(result, result, lay)
-    return _unpack(result, lay)
+        result = mul(result, result)
+    return result
 
 
 def sigma_apply(R: RingDescriptor, x, j: int = 1) -> tuple[int, ...]:
@@ -335,6 +389,17 @@ def sigma_apply(R: RingDescriptor, x, j: int = 1) -> tuple[int, ...]:
     return tuple((c - top) % R.n for c in acc[: R.ell - 1])
 
 
+def _sigma_packed(A: int, v: int, lay: KroneckerLayout) -> int:
+    """sigma**j of a packed A, with v = n**-j mod ell: sigma**j maps X**i to
+    X**(i * n**j), so slot i of the result is slot i * v mod ell of A."""
+    w, ell = lay.w, lay.d + 1
+    mask = (1 << w) - 1
+    out = 0
+    for i in range(ell - 1, -1, -1):
+        out = out << w | A >> (w * (i * v % ell)) & mask
+    return out
+
+
 def ring_norm(R: RingDescriptor, x) -> int:
     """Product of all sigma-conjugates of x, as an element of Z/nZ.
 
@@ -342,16 +407,20 @@ def ring_norm(R: RingDescriptor, x) -> int:
     doubling along the cyclic group: with y_k the product of the first
     k conjugates, y_2k = y_k * sigma**k(y_k) and y_(k+1) = y_k *
     sigma**k(x), so d conjugates cost floor(log2 d) + popcount(d) - 1
-    ring products (the Itoh-Tsujii addition chain).
+    ring products (the Itoh-Tsujii addition chain).  The operands stay
+    packed throughout; sigma**k permutes their ell slots.
     """
-    x = tuple(x)
-    y, k = x, 1
+    lay, u, ell = R.layout, R.sigma_exponent, R.ell
+    mul = lay.mul
+    X = _pack(R._fits(tuple(x)), lay)
+    Y, k = X, 1
     for bit in bin(R.d)[3:]:
-        y = ring_mul(R, y, sigma_apply(R, y, k))
+        Y = mul(Y, _sigma_packed(Y, pow(u, -k, ell), lay))
         k *= 2
         if bit == "1":
-            y = ring_mul(R, y, sigma_apply(R, x, k))
+            Y = mul(Y, _sigma_packed(X, pow(u, -k, ell), lay))
             k += 1
+    y = _unpack(Y, lay)
     assert not any(y[1:]), "ring norm must be a constant"
     return y[0]
 

@@ -39,6 +39,14 @@ def test_help():
     assert "sweep" in proc.stdout
 
 
+def test_importing_the_main_module_runs_nothing():
+    """`python -m witnesslab` runs the CLI; importing witnesslab.__main__ does not."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import witnesslab.__main__"], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_unknown_command_exits_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -183,31 +183,35 @@ def window_products(e):
 
 
 def test_ring_pow_makes_no_wasted_products(monkeypatch):
-    """ring_pow runs on the packed kernel alone and makes exactly the window
-    count of products: the odd-power table, bitlen(e) minus the first
-    window's length squarings, and one product per later window."""
-    R = RingDescriptor(35, 3)
-    x = random_element(R, random.Random(6))
+    """ring_pow runs on its ring's packed kernel alone, cyclic or folded,
+    and makes exactly the window count of products: the odd-power table,
+    bitlen(e) minus the first window's length squarings, and one product
+    per later window."""
     calls = []
 
-    def counting(A, B, lay):
+    def counting(A, B):
         calls.append(A is B)
-        return kernel(A, B, lay)
+        return kernel(A, B)
 
     def forbidden(*args):
         raise AssertionError("ring_pow called ring_mul")
 
-    kernel = galois._mul_packed
-    monkeypatch.setattr(galois, "_mul_packed", counting)
     monkeypatch.setattr(galois, "ring_mul", forbidden)
-    assert ring_pow(R, x, 0) == R.one() and not calls
-    assert ring_pow(R, x, 1) == x and not calls
     exponents = [2, 3, 16, 127, 128, 129, 255, 256, 2**23 - 1, 2**23, 2**23 + 1, 2**61 - 1, 2**79,
                  2**79 + 1, 2**239 - 1, 2**239 + 1, 2**671 - 1, 2**671, 2**671 + 1, 3**700]
-    for e in exponents:
+    for n, name in ((35, "cyclic"), (2**galois.CYCLIC_BITS + 1, "folded")):
+        R = RingDescriptor(n, 3)
+        x = random_element(R, random.Random(6))
+        kernel = R.layout.mul
+        assert kernel.__name__ == name
+        monkeypatch.setitem(vars(R), "layout", R.layout._replace(mul=counting))
         calls.clear()
-        ring_pow(R, x, e)
-        assert (calls.count(True), calls.count(False)) == window_products(e), e
+        assert ring_pow(R, x, 0) == R.one() and not calls
+        assert ring_pow(R, x, 1) == x and not calls
+        for e in exponents:
+            calls.clear()
+            ring_pow(R, x, e)
+            assert (calls.count(True), calls.count(False)) == window_products(e), (name, e)
     # 61 ones, k = 3: a**2 and a**3 .. a**7, then 21 windows 111 .. 111 1
     # after the first: 82 products where square-and-multiply makes 120
     assert window_products(2**61 - 1) == (1 + 61 - 3, 3 + 20)

@@ -1,4 +1,5 @@
-"""Property tests: ring_mul and ring_pow against schoolbook cyclic products."""
+"""Property tests: ring_mul and ring_pow against schoolbook cyclic products,
+on both packed kernels: the cyclic one up to CYCLIC_BITS, the folded one above."""
 
 import random
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from witnesslab.galois import (
+    CYCLIC_BITS,
     RingDescriptor,
-    _mul_packed,
+    _pow_packed,
+    _unpack,
     conductor_failure,
     galois_test,
     ring_mul,
@@ -81,7 +84,7 @@ def test_ring_mul_squares_the_same_tuple(data):
 
 
 @pytest.mark.parametrize("ell", ELLS)
-@pytest.mark.parametrize("bits", [14, 64, 256])
+@pytest.mark.parametrize("bits", [14, 64, CYCLIC_BITS, CYCLIC_BITS + 1, 256])
 def test_ring_mul_largest_slots(ell, bits):
     """All coefficients n - 1 make every slot as large as it can get."""
     roots = [g for g in range(2, ell) if conductor_failure(g, ell) is None]
@@ -139,19 +142,45 @@ def extreme_moduli(bits, ell):
     return sorted({valid[0], valid[-1]}) if valid else []
 
 
+def represented(R, slots):
+    """The element of S that ell packed slots stand for: slot d comes off
+    the others, as 1 + X + ... + X**d = 0."""
+    return tuple((c - slots[R.d]) % R.n for c in slots[: R.d])
+
+
+def largest_slots(R, draw):
+    """ell slots in [4n, 5n), just below the kernels' input bound 5n, so
+    slot d is never empty; 5n - 1 - c gives every element of S."""
+    return [5 * R.n - 1 - draw.randrange(R.n) for _ in range(R.ell)]
+
+
+def packed(R, slots):
+    return sum(v << (R.layout.w * i) for i, v in enumerate(slots))
+
+
+@pytest.mark.parametrize(
+    "bits,kernel", [(CYCLIC_BITS - 1, "cyclic"), (CYCLIC_BITS, "cyclic"), (CYCLIC_BITS + 1, "folded")]
+)
+@pytest.mark.parametrize("ell", (3, 5, 101))
+def test_the_kernel_follows_the_bit_length_of_n(bits, kernel, ell):
+    for n in extreme_moduli(bits, ell):
+        assert RingDescriptor(n, ell).layout.mul.__name__ == kernel, n
+
+
 def window_edges(*js):
     """Exponents 2**j - 1, 2**j and 2**j + 1: 2**j has one bit more."""
     return [2**j + s for j in js for s in (-1, 0, 1)]
 
 
-# Every (bits, ell) that has a valid n of that bit length, except one:
-# at 1024 bits and ell = 101 a product squares a 208k-bit integer, about
-# 10 ms, and the 256-bit row and the ell = 31 column cover that corner.
+# Every (bits, ell) that has a valid n of that bit length, except ell = 101
+# at 1024 bits, where a product squares a 208k-bit integer, about 10 ms,
+# and on both sides of CYCLIC_BITS, where the 64- and 256-bit rows already
+# take ell = 101 through each kernel.
 BARRETT_RINGS = [
     (bits, ell)
-    for bits in (2, 14, 64, 256, 1024)
+    for bits in (2, 14, 64, CYCLIC_BITS, CYCLIC_BITS + 1, 256, 1024)
     for ell in ELLS
-    if extreme_moduli(bits, ell) and (bits, ell) != (1024, 101)
+    if extreme_moduli(bits, ell) and not (ell == 101 and bits in (CYCLIC_BITS, CYCLIC_BITS + 1, 1024))
 ]
 
 
@@ -159,17 +188,29 @@ BARRETT_RINGS = [
 def test_ring_pow_matches_schoolbook_at_barrett_extremes(bits, ell):
     """All coefficients n - 1 (the element X**-1, which fills every slot of
     the first product), n at both ends of its bit length, e at the
-    window-width edges at 8 and 24 bits and at random up to 2**80."""
-    exponents = window_edges(7, 23) + [random.Random(f"{bits}-{ell}").getrandbits(80)]
+    window-width edges at 8 and 24 bits and at random up to 2**80.  Then,
+    on the kernel itself, operands with all ell slots in [4n, 5n): the
+    cyclic kernel's largest, and for the folded kernel ones with slot d
+    taken, as the packed ring norm makes after sigma.  e = 127 has
+    window width 1, so the power multiplies by that operand 6 times."""
+    draw = random.Random(f"{bits}-{ell}")
+    exponents = window_edges(7, 23) + [draw.getrandbits(80)]
     for n in extreme_moduli(bits, ell):
         R = RingDescriptor(n, ell)
         top = (n - 1,) * R.d
         expected = schoolbook_powers(R, top, exponents)
         assert [ring_pow(R, top, e) for e in exponents] == expected, n
+        lay = R.layout
+        slots, other = largest_slots(R, draw), largest_slots(R, draw)
+        a = represented(R, slots)
+        product = lay.mul(packed(R, slots), packed(R, other))
+        assert _unpack(product, lay) == schoolbook(R, a, represented(R, other)), n
+        power = _pow_packed(packed(R, slots), 127, lay.mul)
+        assert _unpack(power, lay) == schoolbook_powers(R, a, [127])[0], n
 
 
 @pytest.mark.parametrize("ell", (3, 5, 7, 13))
-@pytest.mark.parametrize("bits", (14, 64))
+@pytest.mark.parametrize("bits", (14, 64, CYCLIC_BITS + 1))
 def test_ring_pow_matches_schoolbook_across_window_widths(bits, ell):
     """Every edge of the window table (k = 1 to 6), at both ends of n's
     bit length, for all coefficients n - 1 and for a random element."""
@@ -183,25 +224,33 @@ def test_ring_pow_matches_schoolbook_across_window_widths(bits, ell):
 
 
 @pytest.mark.parametrize("ell", (3, 5, 101))
-@pytest.mark.parametrize("bits", (14, 64, 256, 1024))
+@pytest.mark.parametrize("bits", (14, 64, CYCLIC_BITS, CYCLIC_BITS + 1, 256, 1024))
 def test_barrett_step_reduces_every_slot_below_2_to_the_x(bits, ell):
     """Times the packed one, the kernel's product is its operand, so its
-    Barrett step sees any slot values below 2**X, X = 2b + L + 8, the
-    bound a product's slots keep.  Each slot comes back below 5n and
-    congruent mod n, also just below the largest multiples of n."""
+    Barrett step sees any values below 2**X, X = 2b + L + 8, the bound a
+    product's slots keep, in all ell slots.  The cyclic kernel returns
+    each slot below 3n and congruent mod n; the folded one takes slot d
+    off the d slots below it, each of which comes back below 5n.  Both
+    also just below the largest multiples of n.  Every ell consecutive
+    values are one operand, so the extreme values, which open and close
+    the list, reach the lowest slots and the highest, slot d among them."""
     for n in extreme_moduli(bits, ell):
         R = RingDescriptor(n, ell)
         lay = R.layout
         bound = 1 << (2 * bits + ell.bit_length() + 8)
         q_max = (bound - 1) // n
         draw = random.Random(n)
-        values = [0, 1, n - 1, n, q_max * n - 1, q_max * n, bound - 1]
-        values += [draw.randrange(q_max // 2, q_max) * n - 1 for _ in range(3 * R.d)]
-        values += [draw.randrange(bound) for _ in range(R.d)]
-        for start in range(0, len(values), R.d):
-            slots = values[start:start + R.d]
-            A = sum(v << (lay.w * i) for i, v in enumerate(slots))
-            out = _mul_packed(A, 1, lay)
-            assert out >> (lay.w * R.d) == 0
-            reduced = [out >> (lay.w * i) & ((1 << lay.w) - 1) for i in range(len(slots))]
-            assert all(r < 5 * n and (r - v) % n == 0 for r, v in zip(reduced, slots)), n
+        extremes = [0, 1, n - 1, n, q_max * n - 1, q_max * n, bound - 1]
+        values = [draw.randrange(q_max // 2, q_max) * n - 1 for _ in range(ell)]
+        values = extremes + values + [draw.randrange(bound) for _ in range(ell)] + extremes
+        for start in range(len(values) - ell + 1):
+            slots = values[start:start + ell]
+            out = lay.mul(packed(R, slots), 1)
+            reduced = [out >> (lay.w * i) & ((1 << lay.w) - 1) for i in range(ell)]
+            assert out >> (lay.w * ell) == 0
+            if lay.mul.__name__ == "cyclic":
+                assert all(r < 3 * n and (r - v) % n == 0 for r, v in zip(reduced, slots)), n
+            else:
+                assert reduced[R.d] == 0, n
+                assert all(r < 5 * n for r in reduced), n
+                assert represented(R, reduced) == represented(R, slots), n

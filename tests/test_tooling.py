@@ -93,7 +93,8 @@ def test_the_oracles_the_benchmark_checks_with_resolve():
 
 
 def _package_exceptions() -> set[str]:
-    modules = [importlib.import_module(f"witnesslab.{path.stem}") for path in SRC.glob("[!_]*.py")]
+    names = ["witnesslab" if path.stem == "__init__" else f"witnesslab.{path.stem}" for path in SRC.glob("*.py")]
+    modules = [importlib.import_module(name) for name in names]
     return {
         name
         for module in modules
